@@ -147,7 +147,7 @@ def cmd_worker(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     endpoint = rendezvous(args.coordinator, args.rank, args.size, timeout=args.timeout)
     try:
-        metrics, model = run_training(config, endpoint, mode="real")
+        metrics, model = run_training(config, endpoint)
     finally:
         endpoint.close()
     write_metrics_csv(metrics, out / f"metrics_rank{args.rank}.csv")

@@ -161,6 +161,20 @@ def segment_bounds(n: int, k: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def ring_steps(rank: int, k: int):
+    """Yield rank's 2(K-1) ring steps as ``(send_seg, recv_seg, reduce)``.
+
+    The first K-1 steps scatter-reduce (the received segment is added in);
+    after them rank r owns the completed segment (r+1) mod K. The last K-1
+    steps allgather (the received segment overwrites). Rank r sends to
+    (r+1) mod K, so its ``send_seg`` at step i is rank r+1's ``recv_seg``.
+    """
+    for step in range(k - 1):
+        yield (rank - step) % k, (rank - step - 1) % k, True
+    for step in range(k - 1):
+        yield (rank + 1 - step) % k, (rank - step) % k, False
+
+
 def _ring_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
     k = group.size
     out = data.astype(np.float32, copy=True)
@@ -172,39 +186,20 @@ def _ring_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
     right = (rank + 1) % k
     left = (rank - 1) % k
     bounds = segment_bounds(out.size, k)
-
-    def expect_len(seg: int) -> int:
-        lo, hi = bounds[seg]
-        return hi - lo
-
-    # scatter-reduce: after K-1 steps rank r owns the completed segment (r+1) mod K
-    for step in range(k - 1):
-        send_seg = (rank - step) % k
-        recv_seg = (rank - step - 1) % k
+    for i, (send_seg, recv_seg, reduce) in enumerate(ring_steps(rank, k)):
         lo, hi = bounds[send_seg]
-        handle = _isend(ep, right, tag0 + step, out[lo:hi])
-        incoming = ep.recv(left, tag0 + step)
+        handle = _isend(ep, right, tag0 + i, out[lo:hi])
+        incoming = ep.recv(left, tag0 + i)
         handle.wait()
-        if incoming.size != expect_len(recv_seg):
+        lo, hi = bounds[recv_seg]
+        if incoming.size != hi - lo:
             raise ProtocolError(
                 f"rank {rank}: segment {recv_seg} arrived with {incoming.size} "
-                f"elements, expected {expect_len(recv_seg)}")
-        lo, hi = bounds[recv_seg]
-        out[lo:hi] += incoming
-    # allgather: circulate the completed segments
-    for step in range(k - 1):
-        send_seg = (rank + 1 - step) % k
-        recv_seg = (rank - step) % k
-        lo, hi = bounds[send_seg]
-        handle = _isend(ep, right, tag0 + (k - 1) + step, out[lo:hi])
-        incoming = ep.recv(left, tag0 + (k - 1) + step)
-        handle.wait()
-        if incoming.size != expect_len(recv_seg):
-            raise ProtocolError(
-                f"rank {rank}: segment {recv_seg} arrived with {incoming.size} "
-                f"elements, expected {expect_len(recv_seg)}")
-        lo, hi = bounds[recv_seg]
-        out[lo:hi] = incoming
+                f"elements, expected {hi - lo}")
+        if reduce:
+            out[lo:hi] += incoming
+        else:
+            out[lo:hi] = incoming
     return out
 
 
@@ -264,12 +259,11 @@ def tree_allreduce(buf: FlatBuffer, group: CommGroup) -> FlatBuffer:
     return FlatBuffer(_tree_sum(buf.data, group), list(buf.layout), buf.shapes)
 
 
-def allreduce_chunkwise(grads: GradientSet, group: CommGroup,
-                        alg=ring_allreduce) -> GradientSet:
-    """One allreduce invocation per chunk, in chunk order."""
+def allreduce_chunkwise(grads: GradientSet, group: CommGroup) -> GradientSet:
+    """One ring allreduce invocation per chunk, in chunk order."""
     summed = []
     for chunk in grads:
         flat = np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1)
         buf = FlatBuffer(flat, [(0, 0, flat.size)], [chunk.shape])
-        summed.append(unpack(alg(buf, group)).chunks[0])
+        summed.append(unpack(ring_allreduce(buf, group)).chunks[0])
     return GradientSet(summed)

@@ -21,12 +21,12 @@ from .data import make_blobs
 from .errors import RingtrainError
 from .model import GradientSet, RealModel
 from .transport.net import NetProfile
-from .transport.sim import SimCluster
+from .transport.sim import SimCluster, SimEndpoint
 
 AGGREGATIONS = ("ring_packed", "tree_packed", "ring_chunkwise")
 LR_SCALINGS = ("none", "linear")
 
-# virtual-clock compute model for sim-mode runs: seconds = batch * params / throughput
+# virtual-clock compute model for simulated runs: seconds = batch * params / throughput
 SIM_COMPUTE_THROUGHPUT = 1e8   # weight elements per second
 SIM_PACK_BANDWIDTH = 1.9e8     # bytes per second for pack/unpack copies
 
@@ -122,19 +122,18 @@ def shard_batch(dataset: tuple[np.ndarray, np.ndarray], iteration: int, rank: in
 class Worker:
     """One rank's training loop over a transport endpoint.
 
-    ``mode`` selects the timing source: "real" uses the wall clock around the
-    actual computation; "sim" charges modeled durations to the endpoint's
-    virtual clock (compute from a throughput proxy, communication from the
-    simulated transfers plus modeled pack/unpack copies).
+    The endpoint selects the timing source. A ``SimEndpoint`` is timed by its
+    virtual clock, charged with modeled durations (compute from a throughput
+    proxy, communication from the simulated transfers plus modeled pack/unpack
+    copies); any other endpoint is timed by the wall clock around the actual
+    computation.
     """
 
-    def __init__(self, config: TrainingConfig, endpoint, mode: str = "real"):
+    def __init__(self, config: TrainingConfig, endpoint):
         config.validate()
-        if mode not in ("real", "sim"):
-            raise ValueError("mode must be 'real' or 'sim'")
         self.config = config
         self.endpoint = endpoint
-        self.mode = mode
+        self.virtual = isinstance(endpoint, SimEndpoint)
         self.group = CommGroup(endpoint)
         self.model = RealModel(config.model_dims, seed=config.seed)
         self.dataset = make_blobs(config.dataset_size, config.model_dims[0],
@@ -148,13 +147,13 @@ class Worker:
     def _aggregate(self, grads: GradientSet) -> GradientSet:
         agg = self.config.aggregation
         if agg == "ring_chunkwise":
-            return allreduce_chunkwise(grads, self.group, ring_allreduce)
+            return allreduce_chunkwise(grads, self.group)
         buf = pack(grads)
-        if self.mode == "sim":
+        if self.virtual:
             self.endpoint.advance(buf.data.nbytes / SIM_PACK_BANDWIDTH)
         alg = ring_allreduce if agg == "ring_packed" else tree_allreduce
         buf = alg(buf, self.group)
-        if self.mode == "sim":
+        if self.virtual:
             self.endpoint.advance(buf.data.nbytes / SIM_PACK_BANDWIDTH)
         return unpack(buf)
 
@@ -165,16 +164,7 @@ class Worker:
                                      cfg.workers, cfg.per_device_batch)
         phase = "compute"
         try:
-            if self.mode == "real":
-                t0 = time.perf_counter()
-                loss, cache = self.model.forward(inputs, labels)
-                grads = self.model.backward(cache)
-                t1 = time.perf_counter()
-                phase = "aggregate"
-                summed = self._aggregate(grads)
-                t2 = time.perf_counter()
-                t_comp, t_comm = t1 - t0, t2 - t1
-            else:
+            if self.virtual:
                 loss, cache = self.model.forward(inputs, labels)
                 grads = self.model.backward(cache)
                 t_comp = cfg.per_device_batch * self.model.param_count() / SIM_COMPUTE_THROUGHPUT
@@ -183,6 +173,15 @@ class Worker:
                 clock0 = self.endpoint.clock
                 summed = self._aggregate(grads)
                 t_comm = self.endpoint.clock - clock0
+            else:
+                t0 = time.perf_counter()
+                loss, cache = self.model.forward(inputs, labels)
+                grads = self.model.backward(cache)
+                t1 = time.perf_counter()
+                phase = "aggregate"
+                summed = self._aggregate(grads)
+                t2 = time.perf_counter()
+                t_comp, t_comm = t1 - t0, t2 - t1
         except Exception as exc:
             raise TrainingError(
                 f"rank {rank} failed during {phase} at iteration {iteration}: {exc}"
@@ -198,39 +197,14 @@ class Worker:
         return [self.train_step(it) for it in range(self.config.iterations)]
 
 
-class LocalEndpoint:
-    """Degenerate single-rank endpoint (K=1 runs and unit tests)."""
-
-    rank = 0
-    size = 1
-    nonblocking_send = True
-
-    def __init__(self):
-        self.clock = 0.0
-        self.n_sends = 0
-        self.n_recvs = 0
-
-    def advance(self, seconds: float) -> None:
-        self.clock += seconds
-
-    def send(self, dst, tag, payload):  # pragma: no cover - no peers exist
-        raise ValueError("single-rank endpoint has no peers")
-
-    def recv(self, src, tag, timeout=None):  # pragma: no cover - no peers exist
-        raise ValueError("single-rank endpoint has no peers")
-
-
 def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
                      ) -> tuple[list[list[IterationMetrics]], list[RealModel]]:
     """Run all K workers as simulated ranks; returns per-rank metrics and models."""
     config.validate()
     if profile is None:
         profile = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=config.seed)
-    if config.workers == 1:
-        worker = Worker(config, LocalEndpoint(), mode="sim")
-        return [worker.run()], [worker.model]
     cluster = SimCluster(config.workers, profile, seed=config.seed)
-    workers = [Worker(config, ep, mode="sim") for ep in cluster.endpoints]
+    workers = [Worker(config, ep) for ep in cluster.endpoints]
 
     def task(endpoint):
         return workers[endpoint.rank].run()
@@ -239,10 +213,10 @@ def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
     return metrics, [w.model for w in workers]
 
 
-def run_training(config: TrainingConfig, endpoint, mode: str = "real"
+def run_training(config: TrainingConfig, endpoint
                  ) -> tuple[list[IterationMetrics], RealModel]:
     """Run this rank's share of the training; returns (metrics stream, model)."""
-    worker = Worker(config, endpoint, mode=mode)
+    worker = Worker(config, endpoint)
     return worker.run(), worker.model
 
 

@@ -1,8 +1,10 @@
 """Calibration fitters for the simulator's free constants.
 
-Each fitter adjusts exactly one constant by bisection against a single target
-operating point; everything else stays frozen. The shipped presets carry the
-fitted values, and the test suite re-runs the fits to guard against drift.
+Each fitter adjusts exactly one constant against a single target operating
+point; everything else stays frozen. The invocation overhead enters linearly
+and is solved in closed form; the other two constants are found by bisection.
+The shipped presets carry the fitted values, and the test suite re-runs the
+fits to guard against drift.
 """
 
 from __future__ import annotations
@@ -64,17 +66,19 @@ def fit_contention_coeff(net: NetProfile, compute: ComputeProfile,
 
 def fit_invocation_overhead(net: NetProfile, compute: ComputeProfile,
                             target_seconds: float = 84.0,
-                            model: str = "Inception-v3", k: int = 138,
-                            hi: float = 5.0) -> float:
-    """Per-invocation overhead that lands chunk-wise aggregation on target."""
+                            model: str = "Inception-v3", k: int = 138) -> float:
+    """Per-invocation overhead that lands chunk-wise aggregation on target.
+
+    Chunk-wise time is ``num_chunks * overhead`` plus its time at zero
+    overhead, so the overhead follows directly from one cost walk.
+    """
     profile = build_profile(model)
-
-    def chunkwise_time(ovh: float) -> float:
-        return aggregation_comm_time(profile, k, net,
-                                     replace(compute, invocation_overhead=ovh),
-                                     "ring_chunkwise")
-
-    return bisect_increasing(chunkwise_time, 0.0, hi, target_seconds)
+    t0 = aggregation_comm_time(profile, k, net,
+                               replace(compute, invocation_overhead=0.0),
+                               "ring_chunkwise")
+    if target_seconds < t0:
+        raise ValueError(f"target {target_seconds} below the zero-overhead time {t0}")
+    return (target_seconds - t0) / profile.num_chunks
 
 
 def fit_throughput_boundary(net: NetProfile, compute: ComputeProfile,

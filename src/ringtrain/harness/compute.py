@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from ..profiles import ModelProfile
 
@@ -45,13 +43,6 @@ class ComputeProfile:
         if batch < 1:
             raise ValueError("batch must be >= 1")
         return batch * self.work_for(profile) / self.throughput
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ComputeProfile":
-        return cls(**json.loads(Path(path).read_text()))
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
 
 @dataclass
@@ -100,9 +91,3 @@ class ThermalModel:
 
     def cool(self, idle_seconds: float) -> None:
         self.temp = max(self.ambient, self.temp - self.cool_rate * idle_seconds)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ThermalModel":
-        data = json.loads(Path(path).read_text())
-        fields = {k: data[k] for k in ("ambient", "heat_rate", "cool_rate", "tiers")}
-        return cls(**fields)

@@ -2,10 +2,14 @@
 
 These functions walk the exact message schedule a collective would execute and
 sum simulated transfer times, without moving any payload. The ring cost
-follows rank 0's 2(K-1) receives with the real uneven segment sizes; the tree
+follows rank 0's 2(K-1) receives from ``collectives.ring_steps``, the schedule
+``ring_allreduce`` runs, with the real uneven segment sizes; the tree
 baseline models a segmented, pipelined binomial reduce+broadcast, which is how
 production libraries keep large-message allreduce time nearly independent of
 the participant count.
+
+Every function takes an optional jitter generator. Without one it seeds a
+single generator from ``net.seed`` and draws every message's jitter from it.
 """
 
 from __future__ import annotations
@@ -14,36 +18,34 @@ import math
 
 import numpy as np
 
-from ..collectives import segment_bounds
+from ..collectives import ring_steps, segment_bounds
 from ..profiles import FLOAT_BYTES, ModelProfile
 from ..transport.net import NetProfile, sim_transfer_time
 from .compute import ComputeProfile
 
 
+def _jitter_rng(net: NetProfile, rng: np.random.Generator | None) -> np.random.Generator:
+    return np.random.default_rng(net.seed) if rng is None else rng
+
+
 def ring_comm_time(n_elems: int, k: int, net: NetProfile,
-                   rng: np.random.Generator | None = None,
-                   k_active: int | None = None) -> float:
+                   rng: np.random.Generator | None = None) -> float:
     """Rank-0 time for one ring allreduce of ``n_elems`` float32 elements."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return 0.0
-    k_active = k if k_active is None else k_active
+    rng = _jitter_rng(net, rng)
     bounds = segment_bounds(n_elems, k)
-    seg_bytes = [(hi - lo) * FLOAT_BYTES for lo, hi in bounds]
     total = 0.0
-    for step in range(k - 1):          # scatter-reduce receives
-        seg = (-step - 1) % k
-        total += sim_transfer_time(seg_bytes[seg], k_active, net, rng)
-    for step in range(k - 1):          # allgather receives
-        seg = (-step) % k
-        total += sim_transfer_time(seg_bytes[seg], k_active, net, rng)
+    for _, recv_seg, _ in ring_steps(0, k):
+        lo, hi = bounds[recv_seg]
+        total += sim_transfer_time((hi - lo) * FLOAT_BYTES, k, net, rng)
     return total
 
 
 def tree_comm_time(n_bytes: int, k: int, net: NetProfile, segment_bytes: int,
-                   rng: np.random.Generator | None = None,
-                   k_active: int | None = None) -> float:
+                   rng: np.random.Generator | None = None) -> float:
     """Critical-path time of a pipelined binomial reduce + broadcast.
 
     A message of m segments crosses a depth-d tree in (d - 1 + m) segment
@@ -53,7 +55,7 @@ def tree_comm_time(n_bytes: int, k: int, net: NetProfile, segment_bytes: int,
         raise ValueError("k must be >= 1")
     if k == 1:
         return 0.0
-    k_active = k if k_active is None else k_active
+    rng = _jitter_rng(net, rng)
     depth = max(1, math.ceil(math.log2(k)))
     full, last = divmod(n_bytes, segment_bytes)
     # a zero-byte collective still crosses every hop once per direction
@@ -62,9 +64,9 @@ def tree_comm_time(n_bytes: int, k: int, net: NetProfile, segment_bytes: int,
     total = 0.0
     for _direction in range(2):
         for seg in segments:
-            total += sim_transfer_time(seg, k_active, net, rng)
+            total += sim_transfer_time(seg, k, net, rng)
         for _ in range(depth - 1):     # pipeline fill slots
-            total += sim_transfer_time(fill_bytes, k_active, net, rng)
+            total += sim_transfer_time(fill_bytes, k, net, rng)
     return total
 
 
@@ -79,6 +81,7 @@ def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
     """
     if k == 1:
         return 0.0
+    rng = _jitter_rng(net, rng)
     ovh = compute.invocation_overhead
     if alg == "ring_packed":
         copies = 2 * profile.total_bytes / compute.pack_bandwidth
@@ -100,6 +103,7 @@ def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfi
     """Bare allreduce benchmark time for a buffer of ``n_bytes``."""
     if k == 1:
         return 0.0
+    rng = _jitter_rng(net, rng)
     ovh = compute.invocation_overhead
     if alg == "ring":
         return ovh + ring_comm_time(n_bytes // FLOAT_BYTES, k, net, rng)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +105,7 @@ def _meta(net: NetProfile | dict, compute: ComputeProfile | None, seed, **extra)
     elif net is not None:
         meta["net_profile"] = vars(net).copy()
     if compute is not None:
-        meta["compute_profile"] = {
-            "throughput": compute.throughput,
-            "pack_bandwidth": compute.pack_bandwidth,
-            "invocation_overhead": compute.invocation_overhead,
-            "tree_segment_bytes": compute.tree_segment_bytes,
-            "work_per_sample": dict(compute.work_per_sample),
-        }
+        meta["compute_profile"] = asdict(compute)
     meta.update(extra)
     return meta
 

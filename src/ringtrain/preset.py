@@ -9,8 +9,6 @@ from pathlib import Path
 from .harness.compute import ComputeProfile, ThermalModel
 from .transport.net import NetProfile
 
-PRESET_NAMES = ("ethernet", "wifi5", "thermal_s10", "compute_s10")
-
 
 def preset_path(name: str) -> Path:
     filename = name if name.endswith(".json") else f"{name}.json"

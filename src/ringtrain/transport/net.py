@@ -8,9 +8,7 @@ share the medium, and a per-message disconnect probability.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,21 +34,14 @@ class NetProfile:
         """Shared-medium bandwidth in Mbps when ``k_active`` nodes are up."""
         return self.base_bandwidth / (1.0 + self.contention_coeff * max(0, k_active - 2))
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "NetProfile":
-        data = json.loads(Path(path).read_text())
-        return cls(**data)
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
-
 
 def sim_transfer_time(nbytes: int, k_active: int, profile: NetProfile,
                       rng: np.random.Generator | None = None) -> float:
     """Seconds to move ``nbytes`` over one link while ``k_active`` nodes share it.
 
     t = latency + bytes*8 / (1e6 * effective_bw), with the bandwidth term
-    scaled by a mean-one lognormal jitter draw when the profile has jitter.
+    scaled by a mean-one lognormal jitter draw from ``rng`` when the profile
+    has jitter; a jittered transfer without a generator is a ValueError.
     Zero-byte messages cost exactly the latency; jitter never touches it.
     """
     if nbytes < 0:
@@ -61,7 +52,7 @@ def sim_transfer_time(nbytes: int, k_active: int, profile: NetProfile,
     t_bw = nbytes * 8.0 / (1e6 * bw)
     if profile.jitter_frac > 0:
         if rng is None:
-            rng = np.random.default_rng(profile.seed)
+            raise ValueError("a jittered transfer needs a random generator")
         sigma = profile.jitter_frac
         t_bw *= float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
     return profile.latency + t_bw

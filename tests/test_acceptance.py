@@ -14,7 +14,7 @@ import pytest
 
 from ringtrain.cli import EXIT_OK, main as cli_main
 from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce, tree_allreduce
-from ringtrain.engine import LocalEndpoint, TrainingConfig, Worker, run_training_sim
+from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.harness import (contention_slowdown, count_upward_steps,
                                fit_contention_coeff, fit_invocation_overhead,
                                fit_throughput_boundary, aggregation_comm_time,

@@ -88,8 +88,9 @@ def test_launch_k1_equals_direct_training(tmp_path, capsys):
     assert run_cli("launch", "--workers", "1", "--config", str(cfg_path),
                    "--out", str(out)) == EXIT_OK
 
-    from ringtrain.engine import LocalEndpoint, Worker
-    worker = Worker(TrainingConfig.from_json(cfg_path), LocalEndpoint(), mode="real")
+    from ringtrain.engine import Worker
+    from ringtrain.transport.tcp import TcpEndpoint
+    worker = Worker(TrainingConfig.from_json(cfg_path), TcpEndpoint(0, 1, {}))
     worker.run()
     saved = np.load(out / "weights_rank0.npz")
     for i, w in enumerate(worker.model.weights):

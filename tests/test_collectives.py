@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ringtrain.collectives import (CommGroup, FlatBuffer, allreduce_chunkwise,
-                                   pack, ring_allreduce, segment_bounds,
-                                   tree_allreduce, unpack)
+                                   pack, ring_allreduce, ring_steps,
+                                   segment_bounds, tree_allreduce, unpack)
 from ringtrain.errors import LayoutError
 from ringtrain.model import GradientSet
 from ringtrain.profiles import build_profile
@@ -69,6 +69,21 @@ class TestSegments:
         bounds = segment_bounds(3, 5)
         sizes = [hi - lo for lo, hi in bounds]
         assert sizes == [1, 1, 1, 0, 0]
+
+
+def test_ring_steps_form_one_consistent_schedule():
+    for k in range(1, 65):
+        steps = [list(ring_steps(r, k)) for r in range(k)]
+        for r in range(k):
+            mine, right = steps[r], steps[(r + 1) % k]
+            # what rank r sends at step i is what its right neighbour receives
+            assert [send for send, _, _ in mine] == [recv for _, recv, _ in right]
+            assert [red for _, _, red in mine] == [True] * (k - 1) + [False] * (k - 1)
+            scatter = [recv for _, recv, red in mine if red]
+            gather = [recv for _, recv, red in mine if not red]
+            assert sorted(scatter) == [s for s in range(k) if s != r]
+            # after scatter-reduce rank r owns (r+1) mod K and gathers the rest
+            assert sorted(gather) == [s for s in range(k) if s != (r + 1) % k]
 
 
 @pytest.mark.parametrize("alg", [ring_allreduce, tree_allreduce])
@@ -181,7 +196,7 @@ class TestChunkwise:
 
         def fn(group, buf, ep):
             grads = GradientSet([payloads[group.rank].copy()])
-            chunked = allreduce_chunkwise(grads, group, ring_allreduce)
+            chunked = allreduce_chunkwise(grads, group)
             packed = unpack(ring_allreduce(pack(GradientSet(
                 [payloads[group.rank].copy()])), group))
             return chunked.chunks[0], packed.chunks[0]
@@ -195,7 +210,7 @@ class TestChunkwise:
 
         def fn(group, buf, ep):
             grads = GradientSet([np.ones(n, np.float32) for n in small])
-            allreduce_chunkwise(grads, group, ring_allreduce)
+            allreduce_chunkwise(grads, group)
             return group.invocations
 
         counts = sim_collective(2, lambda r: None, fn)
@@ -210,7 +225,7 @@ class TestChunkwise:
 
         def fn(group, buf, ep):
             out = allreduce_chunkwise(GradientSet(
-                [c.copy() for c in chunk_sets[group.rank]]), group, ring_allreduce)
+                [c.copy() for c in chunk_sets[group.rank]]), group)
             return out.chunks
 
         for chunks in sim_collective(k, lambda r: None, fn):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ringtrain.data import make_blobs
-from ringtrain.engine import (IterationMetrics, LocalEndpoint, METRICS_HEADER,
+from ringtrain.engine import (IterationMetrics, METRICS_HEADER,
                               TrainingConfig, Worker, run_training_sim, scale_lr,
                               shard_batch, shard_indices, write_metrics_csv)
 from ringtrain.model import RealModel
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
+from ringtrain.transport.tcp import TcpEndpoint
 
 ETH = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
 
@@ -75,7 +76,7 @@ class TestScaleLr:
 
 def test_k1_matches_manual_single_process_sgd_bitwise():
     cfg = config(1, 8, iterations=3, seed=7)
-    worker = Worker(cfg, LocalEndpoint(), mode="sim")
+    worker = Worker(cfg, SimCluster(1, ETH).endpoints[0])
     metrics = worker.run()
 
     model = RealModel(cfg.model_dims, seed=cfg.seed)
@@ -95,7 +96,7 @@ def test_duplicated_data_mean_equals_local_gradient():
     # identical rows everywhere => every rank computes the same local gradient
     cfg = config(2, 4, iterations=1, seed=3)
     cluster = SimCluster(2, ETH)
-    workers = [Worker(cfg, ep, mode="sim") for ep in cluster.endpoints]
+    workers = [Worker(cfg, ep) for ep in cluster.endpoints]
     row = np.array([[0.3, -1.2]], np.float32)
     for w in workers:
         w.dataset = (np.repeat(row, cfg.dataset_size, axis=0),
@@ -110,7 +111,7 @@ def test_duplicated_data_mean_equals_local_gradient():
 def test_aggregated_gradient_is_mean_of_locals_three_ranks():
     cfg = config(3, 4, iterations=1, seed=11)
     cluster = SimCluster(3, ETH)
-    workers = [Worker(cfg, ep, mode="sim") for ep in cluster.endpoints]
+    workers = [Worker(cfg, ep) for ep in cluster.endpoints]
     cluster.run(lambda ep: workers[ep.rank].train_step(0))
     locals_ = [w.last_local_grads for w in workers]
     for li in range(len(workers[0].model.weights)):
@@ -151,7 +152,7 @@ def test_sim_mode_synchronous_equivalence(k):
 def test_sim_timing_identity_and_wall_bound():
     cfg = config(2, 4, iterations=4, seed=2)
     cluster = SimCluster(2, ETH)
-    workers = [Worker(cfg, ep, mode="sim") for ep in cluster.endpoints]
+    workers = [Worker(cfg, ep) for ep in cluster.endpoints]
 
     def task(ep):
         start = ep.clock
@@ -162,8 +163,8 @@ def test_sim_timing_identity_and_wall_bound():
         total = sum(m.t_comp + m.t_comm for m in metrics)
         assert total == pytest.approx(elapsed, rel=1e-9)
 
-    # real mode: measured phases can never exceed the wall-clock iteration
-    worker = Worker(config(1, 8, iterations=1), LocalEndpoint(), mode="real")
+    # wall-clock timing: measured phases can never exceed the iteration
+    worker = Worker(config(1, 8, iterations=1), TcpEndpoint(0, 1, {}))
     t0 = time.perf_counter()
     m = worker.train_step(0)
     wall = time.perf_counter() - t0
@@ -183,7 +184,7 @@ def test_rank_failure_names_rank_and_phase():
     from ringtrain.engine import TrainingError
     cfg = config(2, 4, iterations=1, seed=3)
     cluster = SimCluster(2, ETH)
-    workers = [Worker(cfg, ep, mode="sim") for ep in cluster.endpoints]
+    workers = [Worker(cfg, ep) for ep in cluster.endpoints]
     workers[1].model.weights[0] = np.zeros((3, 3), np.float32)  # poison rank 1
 
     with pytest.raises(TrainingError) as err:

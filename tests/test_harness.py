@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce
 from ringtrain.errors import AssertionFailure
 from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_time,
                                collective_time, contention_slowdown,
@@ -15,7 +16,8 @@ from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_ti
                                tree_comm_time)
 from ringtrain.preset import load_compute, load_net, load_thermal
 from ringtrain.profiles import build_profile
-from ringtrain.transport.net import NetProfile
+from ringtrain.transport.net import NetProfile, sim_transfer_time
+from ringtrain.transport.sim import SimCluster
 
 ETH = load_net("ethernet")
 COMPUTE = load_compute()
@@ -119,6 +121,40 @@ class TestCostModel:
         assert (aggregation_comm_time(p, 4, ETH, slow_copy, "ring_chunkwise")
                 == aggregation_comm_time(p, 4, ETH, fast_copy, "ring_chunkwise"))
 
+    def test_each_message_draws_its_own_jitter(self):
+        wifi = load_net("wifi5")
+        n = 200_000
+        one = sim_transfer_time(n // 2 * 4, 2, wifi, np.random.default_rng(wifi.seed))
+        assert ring_comm_time(n, 2, wifi) != 2 * one
+
+    def test_default_generator_is_seeded_from_the_profile(self):
+        wifi = load_net("wifi5")
+        rng = np.random.default_rng(wifi.seed)
+        assert ring_comm_time(10_000, 8, wifi) == ring_comm_time(10_000, 8, wifi, rng)
+
+
+class TestSimMatchesCostModel:
+    """SimCluster's ring and ring_comm_time price the one ring schedule."""
+
+    @pytest.mark.parametrize("contention", [0.0, 0.5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16])
+    def test_virtual_clock_equals_ring_comm_time(self, k, contention):
+        net = dataclasses.replace(ETH, contention_coeff=contention)
+        assert net.jitter_frac == 0.0
+        for n in (7, 1001, 4099, 1000 * k):
+            def task(ep):
+                buf = FlatBuffer(np.ones(n, np.float32), [(0, 0, n)])
+                ring_allreduce(buf, CommGroup(ep))
+                return ep.clock
+
+            clocks = SimCluster(k, net).run(task)
+            modeled = ring_comm_time(n, k, net)
+            if n % k == 0:
+                assert clocks == [modeled] * k, f"n={n}"
+            else:
+                # uneven segments: rank 0's receives are not every rank's path
+                assert max(abs(c - modeled) for c in clocks) <= 0.01 * modeled, f"n={n}"
+
 
 class TestSimulateIteration:
     def test_k1_has_zero_comm(self):
@@ -203,6 +239,10 @@ class TestCalibration:
     def test_overhead_fit_reproduces_target(self):
         ovh = fit_invocation_overhead(ETH, COMPUTE, 84.0)
         assert ovh == pytest.approx(COMPUTE.invocation_overhead, rel=0.01)
+
+    def test_overhead_fit_rejects_target_below_zero_overhead_time(self):
+        with pytest.raises(ValueError):
+            fit_invocation_overhead(ETH, COMPUTE, 1e-3)
 
     def test_throughput_boundary_below_shipped_value(self):
         boundary = fit_throughput_boundary(ETH, COMPUTE)

@@ -134,6 +134,11 @@ class TestSimTransferTime:
         prof = NetProfile(base_bandwidth=100.0, latency=0.007, jitter_frac=0.9, seed=1)
         assert sim_transfer_time(0, 8, prof) == 0.007
 
+    def test_jitter_without_generator_rejected(self):
+        prof = NetProfile(base_bandwidth=100.0, latency=0.007, jitter_frac=0.9, seed=1)
+        with pytest.raises(ValueError):
+            sim_transfer_time(1000, 8, prof)
+
     def test_closed_form_without_jitter(self):
         t = sim_transfer_time(1_000_000, 2, ETH)
         assert t == pytest.approx(1e-4 + 8e6 / (1e6 * 940.0))
