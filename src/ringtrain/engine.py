@@ -10,8 +10,7 @@ update. All workers hold bit-identical weights after every iteration.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +19,12 @@ from .collectives import CommGroup, allreduce_chunkwise, pack, ring_allreduce, t
 from .data import make_blobs
 from .errors import RingtrainError
 from .model import GradientSet, RealModel
+from .preset import load_compute, load_net
 from .transport.net import NetProfile
-from .transport.sim import SimCluster, SimEndpoint
+from .transport.sim import SimCluster
 
 AGGREGATIONS = ("ring_packed", "tree_packed", "ring_chunkwise")
 LR_SCALINGS = ("none", "linear")
-
-# virtual-clock compute model for simulated runs: seconds = batch * params / throughput
-SIM_COMPUTE_THROUGHPUT = 1e8   # weight elements per second
-SIM_PACK_BANDWIDTH = 1.9e8     # bytes per second for pack/unpack copies
 
 METRICS_HEADER = "iter,rank,t_comp_s,t_comm_s,loss"
 
@@ -122,18 +118,17 @@ def shard_batch(dataset: tuple[np.ndarray, np.ndarray], iteration: int, rank: in
 class Worker:
     """One rank's training loop over a transport endpoint.
 
-    The endpoint selects the timing source. A ``SimEndpoint`` is timed by its
-    virtual clock, charged with modeled durations (compute from a throughput
-    proxy, communication from the simulated transfers plus modeled pack/unpack
-    copies); any other endpoint is timed by the wall clock around the actual
-    computation.
+    Both phases are timed on ``endpoint.clock``. The modeled compute and
+    pack/unpack copy times of the compute preset, the device model the harness
+    prices with, go to ``endpoint.advance``: a ``SimEndpoint`` charges them to
+    its virtual clock, while a ``TcpEndpoint`` runs on the wall clock.
     """
 
     def __init__(self, config: TrainingConfig, endpoint):
         config.validate()
         self.config = config
         self.endpoint = endpoint
-        self.virtual = isinstance(endpoint, SimEndpoint)
+        self.compute = load_compute()
         self.group = CommGroup(endpoint)
         self.model = RealModel(config.model_dims, seed=config.seed)
         self.dataset = make_blobs(config.dataset_size, config.model_dims[0],
@@ -149,12 +144,10 @@ class Worker:
         if agg == "ring_chunkwise":
             return allreduce_chunkwise(grads, self.group)
         buf = pack(grads)
-        if self.virtual:
-            self.endpoint.advance(buf.data.nbytes / SIM_PACK_BANDWIDTH)
+        self.endpoint.advance(buf.data.nbytes / self.compute.pack_bandwidth)
         alg = ring_allreduce if agg == "ring_packed" else tree_allreduce
         buf = alg(buf, self.group)
-        if self.virtual:
-            self.endpoint.advance(buf.data.nbytes / SIM_PACK_BANDWIDTH)
+        self.endpoint.advance(buf.data.nbytes / self.compute.pack_bandwidth)
         return unpack(buf)
 
     def train_step(self, iteration: int) -> IterationMetrics:
@@ -164,24 +157,15 @@ class Worker:
                                      cfg.workers, cfg.per_device_batch)
         phase = "compute"
         try:
-            if self.virtual:
-                loss, cache = self.model.forward(inputs, labels)
-                grads = self.model.backward(cache)
-                t_comp = cfg.per_device_batch * self.model.param_count() / SIM_COMPUTE_THROUGHPUT
-                self.endpoint.advance(t_comp)
-                phase = "aggregate"
-                clock0 = self.endpoint.clock
-                summed = self._aggregate(grads)
-                t_comm = self.endpoint.clock - clock0
-            else:
-                t0 = time.perf_counter()
-                loss, cache = self.model.forward(inputs, labels)
-                grads = self.model.backward(cache)
-                t1 = time.perf_counter()
-                phase = "aggregate"
-                summed = self._aggregate(grads)
-                t2 = time.perf_counter()
-                t_comp, t_comm = t1 - t0, t2 - t1
+            t0 = self.endpoint.clock
+            loss, cache = self.model.forward(inputs, labels)
+            grads = self.model.backward(cache)
+            self.endpoint.advance(cfg.per_device_batch * self.model.param_count()
+                                  / self.compute.throughput)
+            t1 = self.endpoint.clock
+            phase = "aggregate"
+            summed = self._aggregate(grads)
+            t_comp, t_comm = t1 - t0, self.endpoint.clock - t1
         except Exception as exc:
             raise TrainingError(
                 f"rank {rank} failed during {phase} at iteration {iteration}: {exc}"
@@ -199,11 +183,13 @@ class Worker:
 
 def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
                      ) -> tuple[list[list[IterationMetrics]], list[RealModel]]:
-    """Run all K workers as simulated ranks; returns per-rank metrics and models."""
+    """Run all K workers as simulated ranks; returns per-rank metrics and models.
+
+    The links (ethernet preset by default) are seeded with the config's seed.
+    """
     config.validate()
-    if profile is None:
-        profile = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=config.seed)
-    cluster = SimCluster(config.workers, profile, seed=config.seed)
+    profile = load_net("ethernet") if profile is None else profile
+    cluster = SimCluster(config.workers, replace(profile, seed=config.seed))
     workers = [Worker(config, ep) for ep in cluster.endpoints]
 
     def task(endpoint):

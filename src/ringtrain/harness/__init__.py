@@ -1,8 +1,8 @@
 """Cluster simulator and experiment drivers."""
 
+from ..profiles import ComputeProfile, ThermalModel
 from .calibrate import (fit_contention_coeff, fit_invocation_overhead,
                         fit_throughput_boundary, contention_slowdown)
-from .compute import ComputeProfile, ThermalModel
 from .cost import aggregation_comm_time, collective_time, ring_comm_time, tree_comm_time
 from .experiments import (ExperimentReport, ReportRow, count_upward_steps,
                           run_aggregation_comparison, run_collective_bench,

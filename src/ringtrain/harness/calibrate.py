@@ -13,9 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..profiles import build_profile
+from ..profiles import ComputeProfile, build_profile
 from ..transport.net import NetProfile
-from .compute import ComputeProfile
 from .cost import aggregation_comm_time, collective_time
 
 ANCHOR_37_5_MB = int(37.5 * 2 ** 20)

@@ -19,9 +19,8 @@ import math
 import numpy as np
 
 from ..collectives import ring_steps, segment_bounds
-from ..profiles import FLOAT_BYTES, ModelProfile
+from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile
 from ..transport.net import NetProfile, sim_transfer_time
-from .compute import ComputeProfile
 
 
 def _jitter_rng(net: NetProfile, rng: np.random.Generator | None) -> np.random.Generator:

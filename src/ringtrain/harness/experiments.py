@@ -19,9 +19,9 @@ import numpy as np
 from .. import __version__
 from ..engine import IterationMetrics
 from ..errors import AssertionFailure
-from ..profiles import ModelProfile, all_profiles, build_profile
+from ..profiles import (ComputeProfile, ModelProfile, ThermalModel, all_profiles,
+                        build_profile)
 from ..transport.net import NetProfile
-from .compute import ComputeProfile, ThermalModel
 from .cost import aggregation_comm_time, collective_time
 
 REPORT_HEADER = "experiment,mode,model,K,alg,t_comp_s,t_comm_s,t_total_s,efficiency"
@@ -226,9 +226,8 @@ def run_rar_vs_tree(model: str, k_list: list[int], net: NetProfile,
 
 
 def run_thermal_scenario(thermal: ThermalModel, duration_s: float, fan_on: bool,
-                         baseline_t_comp_s: float = 18.2, idle_s: float = 5.0,
-                         fan_cool_multiplier: float = 20.0,
-                         model: str = "thermal-baseline") -> ExperimentReport:
+                         baseline_t_comp_s: float, idle_s: float,
+                         fan_cool_multiplier: float) -> ExperimentReport:
     """Iterate compute+idle cycles under the thermal model for a virtual duration.
 
     Returns one row per iteration; the temperature series rides in metadata.
@@ -246,7 +245,7 @@ def run_thermal_scenario(thermal: ThermalModel, duration_s: float, fan_on: bool,
         t_comp = baseline_t_comp_s * state.multiplier()
         state.heat(t_comp)
         state.cool(idle_s)
-        rows.append(ReportRow("thermal", "sim", model, 1,
+        rows.append(ReportRow("thermal", "sim", "thermal-baseline", 1,
                               "fan_on" if fan_on else "fan_off", t_comp, idle_s))
         elapsed += t_comp + idle_s
     meta = _meta(None, None, 0, thermal={

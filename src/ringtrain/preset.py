@@ -6,7 +6,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .harness.compute import ComputeProfile, ThermalModel
+from .profiles import ComputeProfile, ThermalModel
 from .transport.net import NetProfile
 
 

@@ -93,12 +93,11 @@ class SimEndpoint:
 class SimCluster:
     """Factory for a group of simulated endpoints sharing one medium."""
 
-    def __init__(self, size: int, profile: NetProfile, seed: int | None = None):
+    def __init__(self, size: int, profile: NetProfile):
         if size < 1:
             raise ValueError("cluster size must be >= 1")
         self.size = size
         self.profile = profile
-        self.seed = profile.seed if seed is None else seed
         self.cond = threading.Condition()
         self.failed: tuple[int, BaseException] | None = None
         self.queues: dict[tuple[int, int], deque] = {
@@ -109,7 +108,7 @@ class SimCluster:
     def link_rng(self, src: int, dst: int) -> np.random.Generator:
         key = (src, dst)
         if key not in self._rngs:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
+            ss = np.random.SeedSequence(entropy=self.profile.seed, spawn_key=key)
             self._rngs[key] = np.random.default_rng(ss)
         return self._rngs[key]
 

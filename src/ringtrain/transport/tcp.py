@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from ..errors import PeerDisconnected, RecvTimeout, TagMismatch, WireProtocolError
+from ..errors import (PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch,
+                      WireProtocolError)
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
 
 DEFAULT_TIMEOUT = 30.0
@@ -50,7 +51,7 @@ class FramedSocket:
         while len(buf) < n:
             try:
                 chunk = self.sock.recv(min(n - len(buf), 1 << 20))
-            except socket.timeout:
+            except (socket.timeout, BlockingIOError):   # a zero timeout raises the latter
                 raise RecvTimeout(f"recv timed out after {timeout}s") from None
             except OSError as exc:
                 self.dead = True
@@ -84,7 +85,7 @@ class FramedSocket:
 
 
 class TcpEndpoint:
-    """Full-mesh peer handle with the same surface as SimEndpoint."""
+    """Full-mesh peer handle with SimEndpoint's surface; its clock is the wall clock."""
 
     def __init__(self, rank: int, size: int, conns: dict[int, FramedSocket]):
         self.rank = rank
@@ -95,6 +96,13 @@ class TcpEndpoint:
         self.n_recvs = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+
+    @property
+    def clock(self) -> float:
+        return time.perf_counter()
+
+    def advance(self, seconds: float) -> None:
+        """Real time passes on its own; nothing to charge."""
 
     def send(self, dst: int, tag: int, payload: np.ndarray) -> None:
         try:
@@ -115,7 +123,7 @@ class TcpEndpoint:
         except KeyError:
             raise ValueError(f"no connection to rank {src}") from None
         try:
-            got_tag, payload = conn.recv_frame(timeout or self.timeout)
+            got_tag, payload = conn.recv_frame(self.timeout if timeout is None else timeout)
         except (PeerDisconnected, RecvTimeout) as exc:
             exc.rank = src
             raise
@@ -168,10 +176,14 @@ class Coordinator:
                 if tag != TAG_REGISTER:
                     raise TagMismatch(f"coordinator expected registration, got tag {tag}")
                 reg = json.loads(payload.decode())
-                if not 0 <= int(reg["rank"]) < self.size:
-                    raise ValueError(f"registration for out-of-range rank {reg['rank']}")
-                conns[int(reg["rank"])] = fs
-                table[str(reg["rank"])] = (reg["host"], int(reg["port"]))
+                rank = int(reg["rank"])
+                if not 0 <= rank < self.size:
+                    raise ValueError(f"registration for out-of-range rank {rank}")
+                if rank in conns:
+                    fs.close()
+                    raise ProtocolError(f"rank {rank} registered twice", rank=rank)
+                conns[rank] = fs
+                table[str(rank)] = (reg["host"], int(reg["port"]))
             payload = json.dumps(table).encode()
             for fs in conns.values():
                 fs.send_frame(TAG_TABLE, payload)
@@ -247,7 +259,12 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
             hello_tag, hello = fs.recv_frame(timeout)
             if hello_tag != TAG_HELLO:
                 raise TagMismatch(f"expected hello, got tag {hello_tag}")
-            conns[int(json.loads(hello.decode())["rank"])] = fs
+            peer = int(json.loads(hello.decode())["rank"])
+            if not rank < peer < size or peer in conns:
+                fs.close()
+                raise ProtocolError(f"rank {rank}: unexpected hello from rank {peer}",
+                                    rank=peer)
+            conns[peer] = fs
     finally:
         listener.close()
     return TcpEndpoint(rank, size, conns)

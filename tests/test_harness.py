@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce
+from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.errors import AssertionFailure
 from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_time,
                                collective_time, contention_slowdown,
@@ -15,7 +16,7 @@ from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_ti
                                run_thermal_scenario, simulate_iteration,
                                tree_comm_time)
 from ringtrain.preset import load_compute, load_net, load_thermal
-from ringtrain.profiles import build_profile
+from ringtrain.profiles import FLOAT_BYTES, MB, ModelProfile, build_profile
 from ringtrain.transport.net import NetProfile, sim_transfer_time
 from ringtrain.transport.sim import SimCluster
 
@@ -154,6 +155,30 @@ class TestSimMatchesCostModel:
             else:
                 # uneven segments: rank 0's receives are not every rank's path
                 assert max(abs(c - modeled) for c in clocks) <= 0.01 * modeled, f"n={n}"
+
+
+class TestSimTrainingMatchesCostModel:
+    """run_training_sim charges the compute preset that the harness prices with."""
+
+    @pytest.mark.parametrize("alg", ["ring_packed", "ring_chunkwise"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_step_matches_the_analytic_iteration(self, k, alg):
+        cfg = TrainingConfig(global_batch=8 * k, per_device_batch=8, workers=k,
+                             iterations=1, aggregation=alg, model_dims=[64, 256, 256, 10],
+                             dataset_classes=10)
+        metrics, models = run_training_sim(cfg)
+        step = metrics[0][0]
+        chunks = tuple(w.size for w in models[0].weights)
+        assert step.t_comp == cfg.per_device_batch * sum(chunks) / COMPUTE.throughput
+
+        # the sim engine charges no invocation overhead
+        compute = dataclasses.replace(COMPUTE, invocation_overhead=0.0)
+        mlp = ModelProfile("mlp", sum(chunks) * FLOAT_BYTES / MB, len(chunks),
+                           cfg.per_device_batch, chunks)
+        modeled = aggregation_comm_time(mlp, k, ETH, compute, alg)
+        segments = chunks if alg == "ring_chunkwise" else (sum(chunks),)
+        rel = 1e-12 if all(n % k == 0 for n in segments) else 0.01
+        assert step.t_comm == pytest.approx(modeled, rel=rel)
 
 
 class TestSimulateIteration:

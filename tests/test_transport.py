@@ -1,18 +1,21 @@
 import hashlib
+import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce
-from ringtrain.errors import (PeerDisconnected, RecvTimeout, TagMismatch,
+from ringtrain.errors import (PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch,
                               WireProtocolError)
 from ringtrain.transport.frame import (FRAME_MAGIC, decode_header, encode_frame,
                                        floats_to_wire, wire_to_floats)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
 from ringtrain.transport.sim import SimCluster, sim_probe_bandwidth
-from ringtrain.transport.tcp import (Coordinator, FramedSocket, rendezvous,
+from ringtrain.transport.tcp import (TAG_HELLO, TAG_REGISTER, TAG_TABLE, Coordinator,
+                                     FramedSocket, TcpEndpoint, rendezvous,
                                      tcp_probe_client, tcp_probe_server)
 
 ETH = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
@@ -91,6 +94,20 @@ class TestFramedTcp:
             b.recv_frame(timeout=1.0)
         b.close()
 
+    def test_zero_timeout_recv_polls_and_keeps_the_link(self):
+        a, b = socket_pair()
+        endpoint = TcpEndpoint(0, 2, {1: a})
+        endpoint.timeout = 1.5
+        t0 = time.perf_counter()
+        with pytest.raises(RecvTimeout):
+            endpoint.recv(1, 7, timeout=0)
+        assert time.perf_counter() - t0 < 1.0
+        assert not a.dead
+        payload = np.arange(3, dtype=np.float32)
+        b.send_frame(7, floats_to_wire(payload))
+        assert (endpoint.recv(1, 7) == payload).all()
+        a.close(), b.close()
+
 
 class TestRendezvousMesh:
     def test_mesh_send_recv_and_tag_mismatch(self):
@@ -127,6 +144,53 @@ class TestRendezvousMesh:
             rendezvous(coord.address, 0, 2, timeout=1.0)
         coord.join()
         assert isinstance(coord.error, RecvTimeout)
+
+    def test_duplicate_registration_is_a_protocol_error(self):
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=2.0)
+        coord.start()
+        t0 = time.perf_counter()
+        socks = []
+        for _ in range(2):
+            fs = FramedSocket(socket.create_connection(coord.address))
+            fs.send_frame(TAG_REGISTER, json.dumps(
+                {"rank": 0, "host": "127.0.0.1", "port": 1}).encode())
+            socks.append(fs)
+        coord.join()
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(coord.error, ProtocolError)
+        assert "rank 0" in str(coord.error)
+        for fs in socks:
+            fs.close()
+
+    @pytest.mark.parametrize("hello_rank", [0, 2])
+    def test_hello_from_an_unexpected_rank_is_rejected(self, hello_rank):
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=5.0)
+        coord.start()
+        errors = []
+
+        def join_as_rank0():
+            try:
+                rendezvous(coord.address, 0, 2, timeout=5.0)
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                errors.append(exc)
+
+        worker = threading.Thread(target=join_as_rank0)
+        worker.start()
+        fs = FramedSocket(socket.create_connection(coord.address))
+        fs.send_frame(TAG_REGISTER, json.dumps(
+            {"rank": 1, "host": "127.0.0.1", "port": 1}).encode())
+        tag, table = fs.recv_frame(5.0)
+        assert tag == TAG_TABLE
+        fs.close()
+        host, port = json.loads(table.decode())["0"]
+        peer = FramedSocket(socket.create_connection((host, port)))
+        peer.send_frame(TAG_HELLO, json.dumps({"rank": hello_rank}).encode())
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        coord.join()
+        peer.close()
+        assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
+        assert f"rank {hello_rank}" in str(errors[0])
 
 
 class TestSimTransferTime:
