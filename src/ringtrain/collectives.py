@@ -6,7 +6,7 @@ SUM over all ranks' buffers):
 * ``ring_allreduce``: K-1 scatter-reduce steps then K-1 allgather steps
   around a logical ring; each rank sends exactly 2(K-1) messages of roughly
   n/K elements. Rank r always sends to (r+1) mod K and receives from
-  (r-1) mod K.
+  (r-1) mod K, in one ``endpoint.sendrecv`` per step.
 * ``tree_allreduce``: binomial-tree reduce to rank 0 followed by a
   binomial-tree broadcast; the stand-in for a generic library allreduce.
 
@@ -15,7 +15,6 @@ Averaging is deliberately not done here; callers divide by K themselves.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,49 +27,18 @@ from .model import GradientSet
 _TAG_BLOCK = 1 << 12
 
 
-class _DoneHandle:
-    def wait(self):
-        pass
-
-
-_DONE = _DoneHandle()
-
-
-class _ThreadHandle:
-    """Async send fallback for endpoints with blocking sends."""
-
-    def __init__(self, fn, args):
-        self._exc = None
-
-        def run():
-            try:
-                fn(*args)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in wait()
-                self._exc = exc
-
-        self._thread = threading.Thread(target=run, daemon=True)
-        self._thread.start()
-
-    def wait(self):
-        self._thread.join()
-        if self._exc is not None:
-            raise self._exc
-
-
-def _isend(endpoint, dst: int, tag: int, payload: np.ndarray):
-    """Start a send that must not block the matching receive."""
-    if getattr(endpoint, "nonblocking_send", False):
-        endpoint.send(dst, tag, payload)
-        return _DONE
-    return _ThreadHandle(endpoint.send, (dst, tag, payload))
-
-
 @dataclass
 class CommGroup:
     """A rank's membership in a collective group, bound to a transport endpoint."""
 
     endpoint: object
     _invocations: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        # a ring invocation uses 2(K-1) tags; more would spill into the next block
+        if 2 * (self.size - 1) > _TAG_BLOCK:
+            raise ValueError(f"a ring over {self.size} ranks needs more than "
+                             f"{_TAG_BLOCK} tags per invocation")
 
     @property
     def rank(self) -> int:
@@ -188,9 +156,7 @@ def _ring_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
     bounds = segment_bounds(out.size, k)
     for i, (send_seg, recv_seg, reduce) in enumerate(ring_steps(rank, k)):
         lo, hi = bounds[send_seg]
-        handle = _isend(ep, right, tag0 + i, out[lo:hi])
-        incoming = ep.recv(left, tag0 + i)
-        handle.wait()
+        incoming = ep.sendrecv(right, left, tag0 + i, out[lo:hi])
         lo, hi = bounds[recv_seg]
         if incoming.size != hi - lo:
             raise ProtocolError(

@@ -111,24 +111,13 @@ def _meta(net: NetProfile | dict, compute: ComputeProfile | None, seed, **extra)
 
 
 def simulate_iteration(profile: ModelProfile, batch: int, compute: ComputeProfile,
-                       k: int, net: NetProfile, alg: str = "ring_packed",
-                       thermal: ThermalModel | None = None,
-                       rng: np.random.Generator | None = None,
-                       iteration: int = 0) -> IterationMetrics:
-    """One simulated training iteration: modeled compute + exact comm schedule.
-
-    The thermal multiplier scales compute time; computation heats the device
-    and the communication phase counts as idle cooling time.
-    """
+                       k: int, net: NetProfile, alg: str = "ring_packed") -> IterationMetrics:
+    """One simulated training iteration: modeled compute + exact comm schedule."""
     if batch < 1 or k < 1:
         raise ValueError("batch and k must be >= 1")
-    mult = thermal.multiplier() if thermal is not None else 1.0
-    t_comp = compute.compute_time(profile, batch) * mult
-    t_comm = aggregation_comm_time(profile, k, net, compute, alg, rng)
-    if thermal is not None:
-        thermal.heat(t_comp)
-        thermal.cool(t_comm)
-    return IterationMetrics(iteration, 0, t_comp, t_comm, 0.0)
+    t_comp = compute.compute_time(profile, batch)
+    t_comm = aggregation_comm_time(profile, k, net, compute, alg)
+    return IterationMetrics(0, 0, t_comp, t_comm, 0.0)
 
 
 def run_scaling_experiment(model: str, batch: int, k_list: list[int],

@@ -25,17 +25,13 @@ from .net import NetProfile, sim_transfer_time
 class SimEndpoint:
     """One rank's handle onto the simulated network."""
 
-    nonblocking_send = True  # sends are buffered; collectives need no helper thread
-
     def __init__(self, cluster: "SimCluster", rank: int):
         self._cluster = cluster
         self.rank = rank
         self.size = cluster.size
         self.clock = 0.0
         self.n_sends = 0
-        self.n_recvs = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     def advance(self, seconds: float) -> None:
         """Account for local (compute) time on this rank's clock."""
@@ -85,9 +81,15 @@ class SimEndpoint:
             queue.popleft()
         if arrival > self.clock:
             self.clock = arrival
-        self.n_recvs += 1
-        self.bytes_received += data.size * 4
         return data
+
+    def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
+        """Send ``payload`` to ``dst`` and receive the ``src`` message with the same tag.
+
+        The send is buffered, so it cannot hold up the receive.
+        """
+        self.send(dst, tag, payload)
+        return self.recv(src, tag)
 
 
 class SimCluster:
@@ -143,15 +145,14 @@ class SimCluster:
         return results
 
 
-def sim_probe_bandwidth(profile: NetProfile, duration_s: float,
-                        message_bytes: int = 4 * 2 ** 20,
-                        seed: int | None = None) -> tuple[float, bool]:
-    """Simulated point-to-point probe: stream messages for a virtual duration.
+def sim_probe_bandwidth(profile: NetProfile, duration_s: float) -> tuple[float, bool]:
+    """Simulated point-to-point probe: stream 4 MiB messages for a virtual duration.
 
     Returns (Mbps, aborted). With disconnect_prob == 1 the very first message
     drops and the probe aborts with a partial-result flag.
     """
-    rng = np.random.default_rng(profile.seed if seed is None else seed)
+    message_bytes = 4 * 2 ** 20
+    rng = np.random.default_rng(profile.seed)
     elapsed = 0.0
     acked = 0
     aborted = False

@@ -62,10 +62,11 @@ class FramedSocket:
             buf += chunk
         return bytes(buf)
 
-    def send_frame(self, tag: int, payload: bytes) -> None:
+    def send_frame(self, tag: int, payload: bytes, timeout: float = DEFAULT_TIMEOUT) -> None:
         if self.dead:
             raise PeerDisconnected("connection already marked dead")
         try:
+            self.sock.settimeout(timeout)
             self.sock.sendall(encode_frame(tag, payload))
         except OSError as exc:
             self.dead = True
@@ -93,9 +94,7 @@ class TcpEndpoint:
         self.conns = conns
         self.timeout = DEFAULT_TIMEOUT
         self.n_sends = 0
-        self.n_recvs = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     @property
     def clock(self) -> float:
@@ -111,7 +110,7 @@ class TcpEndpoint:
             raise ValueError(f"no connection to rank {dst}") from None
         data = floats_to_wire(payload)
         try:
-            conn.send_frame(tag, data)
+            conn.send_frame(tag, data, self.timeout)
         except PeerDisconnected as exc:
             raise PeerDisconnected(str(exc), rank=dst) from None
         self.n_sends += 1
@@ -131,9 +130,31 @@ class TcpEndpoint:
             raise TagMismatch(
                 f"rank {self.rank}: expected tag {tag} from rank {src}, got {got_tag}",
                 rank=src)
-        self.n_recvs += 1
-        self.bytes_received += len(payload)
         return wire_to_floats(payload)
+
+    def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
+        """Send ``payload`` to ``dst`` while receiving the ``src`` message with the same tag.
+
+        ``sendall`` blocks once the socket buffers fill, so the send runs on a
+        helper thread: two ranks sending large segments to each other would
+        otherwise wait on each other forever. A failed receive re-raises at
+        once, without waiting for the send.
+        """
+        errors = []
+
+        def send():
+            try:
+                self.send(dst, tag, payload)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        sender = threading.Thread(target=send, daemon=True)
+        sender.start()
+        incoming = self.recv(src, tag)
+        sender.join()
+        if errors:
+            raise errors[0]
+        return incoming
 
     def close(self) -> None:
         for conn in self.conns.values():
@@ -186,7 +207,7 @@ class Coordinator:
                 table[str(rank)] = (reg["host"], int(reg["port"]))
             payload = json.dumps(table).encode()
             for fs in conns.values():
-                fs.send_frame(TAG_TABLE, payload)
+                fs.send_frame(TAG_TABLE, payload, self.timeout)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the launcher
             self.error = exc
             raise
@@ -233,7 +254,7 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
 
     coord = FramedSocket(_connect(coordinator, timeout, "coordinator"))
     coord.send_frame(TAG_REGISTER, json.dumps(
-        {"rank": rank, "host": listen_addr[0], "port": listen_addr[1]}).encode())
+        {"rank": rank, "host": listen_addr[0], "port": listen_addr[1]}).encode(), timeout)
     tag, payload = coord.recv_frame(timeout)
     if tag != TAG_TABLE:
         raise TagMismatch(f"expected address table, got tag {tag}")
@@ -245,7 +266,7 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
     for peer in range(rank):
         host, port = table[peer]
         fs = FramedSocket(_connect((host, port), timeout, f"rank {peer}"))
-        fs.send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode())
+        fs.send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode(), timeout)
         conns[peer] = fs
     # accept higher ranks
     listener.settimeout(timeout)
@@ -302,7 +323,7 @@ def tcp_probe_server(host: str, port: int, sessions: int = 1,
                         if tag != TAG_PROBE_DATA:
                             raise TagMismatch(f"probe server got tag {tag}")
                         received += len(payload)
-                    fs.send_frame(TAG_PROBE_ACK, str(received).encode())
+                    fs.send_frame(TAG_PROBE_ACK, str(received).encode(), timeout)
                 fs.close()
         except (PeerDisconnected, RecvTimeout, TagMismatch, OSError):
             pass
@@ -315,20 +336,19 @@ def tcp_probe_server(host: str, port: int, sessions: int = 1,
 
 
 def tcp_probe_client(server: tuple[str, int], seconds: float, repeat: int = 10,
-                     chunk_bytes: int = 1 << 20,
                      timeout: float = DEFAULT_TIMEOUT) -> list[float]:
-    """Stream data to a probe server; returns Mbps per repeat."""
+    """Stream 1 MiB data frames to a probe server; returns Mbps per repeat."""
     fs = FramedSocket(_connect(server, timeout, "probe server"))
-    chunk = b"\x00" * chunk_bytes
+    chunk = bytes(1 << 20)
     rates = []
     try:
         for i in range(repeat):
             t0 = time.perf_counter()
             deadline = t0 + seconds
             while time.perf_counter() < deadline:
-                fs.send_frame(TAG_PROBE_DATA, chunk)
+                fs.send_frame(TAG_PROBE_DATA, chunk, timeout)
             last = i == repeat - 1
-            fs.send_frame(TAG_PROBE_END, b"done" if last else b"more")
+            fs.send_frame(TAG_PROBE_END, b"done" if last else b"more", timeout)
             tag, payload = fs.recv_frame(timeout)
             elapsed = time.perf_counter() - t0
             if tag != TAG_PROBE_ACK:

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,13 @@ def test_k1_identity_and_no_messages():
         np.arange(5, dtype=np.float32), [(0, 0, 5)]), fn)
     assert (data == np.arange(5)).all()
     assert sends == 0
+
+
+def test_comm_group_rejects_rings_whose_tags_overflow_a_block():
+    # stub endpoints: a real 2050-rank cluster would start 2050 threads
+    with pytest.raises(ValueError, match="2050 ranks"):
+        CommGroup(types.SimpleNamespace(rank=0, size=2050))
+    assert CommGroup(types.SimpleNamespace(rank=0, size=2049)).size == 2049
 
 
 @pytest.mark.parametrize("k,n", [(2, 10), (4, 8), (5, 13), (8, 1000)])

@@ -109,24 +109,95 @@ class TestFramedTcp:
         a.close(), b.close()
 
 
-class TestRendezvousMesh:
-    def test_mesh_send_recv_and_tag_mismatch(self):
-        size = 3
-        coord = Coordinator("127.0.0.1", 0, size)
-        coord.start()
-        endpoints = [None] * size
+def tcp_mesh(size):
+    """Rendezvous ``size`` ranks on loopback; returns their endpoints by rank."""
+    coord = Coordinator("127.0.0.1", 0, size)
+    coord.start()
+    endpoints = [None] * size
 
-        def join(rank):
-            endpoints[rank] = rendezvous(coord.address, rank, size, timeout=10)
+    def join(rank):
+        endpoints[rank] = rendezvous(coord.address, rank, size, timeout=10)
 
-        threads = [threading.Thread(target=join, args=(r,)) for r in range(size)]
+    threads = [threading.Thread(target=join, args=(r,)) for r in range(size)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    coord.join()
+    assert coord.error is None
+    return endpoints
+
+
+class TestTcpSendTimeout:
+    def test_a_short_recv_timeout_does_not_bound_the_next_send(self):
+        a, b = socket_pair()
+        endpoint = TcpEndpoint(0, 2, {1: a})
+        endpoint.timeout = 5.0
+        with pytest.raises(RecvTimeout):
+            endpoint.recv(1, 7, timeout=0.01)
+        payload = np.arange(4 * 2 ** 20, dtype=np.float32)   # 16 MB, beyond the socket buffers
+        got = []
+
+        def slow_reader():
+            time.sleep(0.3)
+            got.append(b.recv_frame(timeout=5.0))
+
+        reader = threading.Thread(target=slow_reader, daemon=True)
+        reader.start()
+        try:
+            endpoint.send(1, 8, payload)
+            reader.join(timeout=10.0)
+        finally:
+            a.close(), b.close()
+        assert not reader.is_alive()
+        tag, data = got[0]
+        assert tag == 8
+        assert (wire_to_floats(data) == payload).all()
+
+
+class TestTcpSendRecv:
+    def test_exchanging_segments_larger_than_the_socket_buffers_does_not_deadlock(self):
+        endpoints = tcp_mesh(2)
+        n = 8 * 2 ** 20   # 32 MB per direction
+        payloads = [np.arange(n, dtype=np.float32) * (1 - 2 * r) for r in range(2)]
+        results, errors = [None, None], []
+
+        def exchange(rank):
+            try:
+                results[rank] = endpoints[rank].sendrecv(1 - rank, 1 - rank, 5, payloads[rank])
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                errors.append(exc)
+
+        for ep in endpoints:
+            ep.timeout = 3.0
+        threads = [threading.Thread(target=exchange, args=(r,), daemon=True) for r in range(2)]
+        t0 = time.perf_counter()
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        coord.join()
-        assert coord.error is None
+            t.join(timeout=10.0)
+        elapsed = time.perf_counter() - t0
+        for ep in endpoints:
+            ep.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert elapsed < 3.0
+        for rank in range(2):
+            assert (results[rank] == payloads[1 - rank]).all()
 
+    def test_closed_peer_raises_naming_the_peer(self):
+        e0, e1 = tcp_mesh(2)
+        e0.timeout = 3.0
+        e1.close()
+        with pytest.raises(PeerDisconnected) as info:
+            e0.sendrecv(1, 1, 5, np.arange(4, dtype=np.float32))
+        assert info.value.rank == 1
+        e0.close()
+
+
+class TestRendezvousMesh:
+    def test_mesh_send_recv_and_tag_mismatch(self):
+        endpoints = tcp_mesh(3)
         e0, e1, e2 = endpoints
         payload = np.arange(4, dtype=np.float32)
         e0.send(1, 5, payload)
