@@ -209,7 +209,7 @@ def cmd_launch(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _run_sim(args) -> tuple[int, list[Path], int]:
+def _run_sim(args) -> tuple[list[Path], int]:
     net = load_net(args.net)
     compute = load_compute(args.compute)
     seed = _resolved_seed(args.seed, net.seed)
@@ -236,12 +236,11 @@ def _run_sim(args) -> tuple[int, list[Path], int]:
     else:
         thermal, scenario = load_thermal(args.thermal)
         report = run_thermal_scenario(thermal, args.duration, args.fan, **scenario)
-    csv_path, meta_path = report.write(out, stem=exp.replace("-", "_"))
-    return EXIT_OK, [csv_path, meta_path], seed
+    return list(report.write(out)), seed
 
 
 def cmd_sim(args, argv: list[str]) -> int:
-    code, outputs, seed = _run_sim(args)
+    outputs, seed = _run_sim(args)
     configs = {"net": str(args.net), "compute": str(args.compute)}
     for name in ("net", "compute", "thermal"):
         value = getattr(args, name)
@@ -250,13 +249,19 @@ def cmd_sim(args, argv: list[str]) -> int:
             configs[name] = str(p)
     write_manifest(Path(args.out), argv, seed, configs, outputs)
     print(f"wrote {outputs[0]}")
-    return code
+    return EXIT_OK
+
+
+def _print_rates(rates: list[float], label: str) -> None:
+    mean = sum(rates) / len(rates)
+    std = (sum((r - mean) ** 2 for r in rates) / len(rates)) ** 0.5
+    print(f"{mean:.2f} +- {std:.2f} Mbps over {len(rates)} runs{label}")
 
 
 def cmd_probe(args) -> int:
     if args.server:
         host, port = args.bind
-        addr, thread = tcp_probe_server(host, port, sessions=1)
+        addr, thread = tcp_probe_server(host, port)
         print(f"probe server listening on {addr[0]}:{addr[1]}", flush=True)
         thread.join()
         return EXIT_OK
@@ -270,15 +275,9 @@ def cmd_probe(args) -> int:
                                             args.seconds)
             rates.append(rate)
             aborted = aborted or bad
-        label = " (aborted: partial result)" if aborted else ""
-        mean = sum(rates) / len(rates)
-        std = (sum((r - mean) ** 2 for r in rates) / len(rates)) ** 0.5
-        print(f"{mean:.2f} +- {std:.2f} Mbps over {args.repeat} runs{label}")
-        return EXIT_OK
-    rates = tcp_probe_client(args.client, args.seconds, args.repeat)
-    mean = sum(rates) / len(rates)
-    std = (sum((r - mean) ** 2 for r in rates) / len(rates)) ** 0.5
-    print(f"{mean:.2f} +- {std:.2f} Mbps over {args.repeat} runs")
+        _print_rates(rates, " (aborted: partial result)" if aborted else "")
+    else:
+        _print_rates(tcp_probe_client(args.client, args.seconds, args.repeat), "")
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ baseline models a segmented, pipelined binomial reduce+broadcast, which is how
 production libraries keep large-message allreduce time nearly independent of
 the participant count.
 
-Every function takes an optional jitter generator. Without one it seeds a
-single generator from ``net.seed`` and draws every message's jitter from it.
+Each call draws every message's jitter from one generator seeded from
+``net.seed``. ``ring_comm_time``, ``tree_comm_time`` and ``collective_time``
+also take the caller's generator instead, so a sweep can share one.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ def tree_comm_time(n_bytes: int, k: int, net: NetProfile, segment_bytes: int,
 
 
 def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
-                          compute: ComputeProfile, alg: str,
-                          rng: np.random.Generator | None = None) -> float:
+                          compute: ComputeProfile, alg: str) -> float:
     """Communication-phase time for one iteration's gradient aggregation.
 
     Packed modes pay one invocation overhead plus the pack/unpack memory
@@ -80,7 +80,7 @@ def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
     """
     if k == 1:
         return 0.0
-    rng = _jitter_rng(net, rng)
+    rng = np.random.default_rng(net.seed)
     ovh = compute.invocation_overhead
     if alg == "ring_packed":
         copies = 2 * profile.total_bytes / compute.pack_bandwidth

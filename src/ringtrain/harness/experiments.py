@@ -36,13 +36,6 @@ GPU_REFERENCE_SPEEDUPS = {
 }
 
 
-def efficiency(t_comp: float, t_comm: float) -> float:
-    total = t_comp + t_comm
-    if total <= 0.0:
-        return 1.0
-    return t_comp / total
-
-
 @dataclass
 class ReportRow:
     experiment: str
@@ -59,7 +52,8 @@ class ReportRow:
 
     @property
     def efficiency(self) -> float:
-        return efficiency(self.t_comp, self.t_comm)
+        total = self.t_total
+        return 1.0 if total <= 0.0 else self.t_comp / total
 
     def csv_row(self) -> str:
         return (f"{self.experiment},{self.mode},{self.model},{self.k},{self.alg},"
@@ -82,18 +76,17 @@ class ExperimentReport:
     def to_csv(self) -> str:
         return "\n".join([REPORT_HEADER] + [r.csv_row() for r in self.rows]) + "\n"
 
-    def write(self, out_dir: str | Path, stem: str | None = None) -> tuple[Path, Path]:
+    def write(self, out_dir: str | Path) -> tuple[Path, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        stem = stem or self.experiment
-        csv_path = out / f"{stem}.csv"
+        csv_path = out / f"{self.experiment}.csv"
         csv_path.write_text(self.to_csv())
         meta = dict(self.metadata)
         meta.setdefault("experiment", self.experiment)
         meta.setdefault("mode", "sim")
         meta.setdefault("code_version", __version__)
         meta["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        meta_path = out / f"{stem}.meta.json"
+        meta_path = out / f"{self.experiment}.meta.json"
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         return csv_path, meta_path
 
@@ -111,18 +104,17 @@ def _meta(net: NetProfile | dict, compute: ComputeProfile | None, seed, **extra)
 
 
 def simulate_iteration(profile: ModelProfile, batch: int, compute: ComputeProfile,
-                       k: int, net: NetProfile, alg: str = "ring_packed") -> IterationMetrics:
-    """One simulated training iteration: modeled compute + exact comm schedule."""
+                       k: int, net: NetProfile) -> IterationMetrics:
+    """One simulated training iteration: modeled compute + the ring_packed schedule."""
     if batch < 1 or k < 1:
         raise ValueError("batch and k must be >= 1")
     t_comp = compute.compute_time(profile, batch)
-    t_comm = aggregation_comm_time(profile, k, net, compute, alg)
+    t_comm = aggregation_comm_time(profile, k, net, compute, "ring_packed")
     return IterationMetrics(0, 0, t_comp, t_comm, 0.0)
 
 
 def run_scaling_experiment(model: str, batch: int, k_list: list[int],
-                           net: NetProfile, compute: ComputeProfile,
-                           alg: str = "ring_packed") -> ExperimentReport:
+                           net: NetProfile, compute: ComputeProfile) -> ExperimentReport:
     """Fixed global batch, growing worker count: compute shrinks, comm does not."""
     profile = build_profile(model)
     for k in k_list:
@@ -130,8 +122,9 @@ def run_scaling_experiment(model: str, batch: int, k_list: list[int],
             raise ValueError(f"global batch {batch} not divisible by K={k}")
     rows = []
     for k in k_list:
-        m = simulate_iteration(profile, batch // k, compute, k, net, alg)
-        rows.append(ReportRow("scaling", "sim", profile.name, k, alg, m.t_comp, m.t_comm))
+        m = simulate_iteration(profile, batch // k, compute, k, net)
+        rows.append(ReportRow("scaling", "sim", profile.name, k, "ring_packed",
+                              m.t_comp, m.t_comm))
 
     by_k = {r.k: r for r in rows}
     for k in k_list:
@@ -150,12 +143,12 @@ def run_scaling_experiment(model: str, batch: int, k_list: list[int],
 
 
 def run_collective_bench(sizes_bytes: list[int], k_list: list[int],
-                         nets: dict[str, NetProfile], compute: ComputeProfile,
-                         algs: tuple[str, ...] = ("ring", "tree")) -> ExperimentReport:
-    """Grid of simulated allreduce times over sizes, worker counts, and links."""
+                         nets: dict[str, NetProfile],
+                         compute: ComputeProfile) -> ExperimentReport:
+    """Grid of simulated ring and tree allreduce times over sizes, worker counts, and links."""
     rows = []
     for net_name, net in nets.items():
-        for alg in algs:
+        for alg in ("ring", "tree"):
             rng = np.random.default_rng(net.seed)
             for size in sizes_bytes:
                 for k in k_list:
@@ -163,7 +156,7 @@ def run_collective_bench(sizes_bytes: list[int], k_list: list[int],
                     rows.append(ReportRow("collective", "sim", f"{size}B", k,
                                           f"{alg}:{net_name}", 0.0, t))
     meta = _meta(nets, compute, min(n.seed for n in nets.values()),
-                 sizes_bytes=list(sizes_bytes), k_list=list(k_list), algs=list(algs))
+                 sizes_bytes=list(sizes_bytes), k_list=list(k_list), algs=["ring", "tree"])
     return ExperimentReport("collective", rows, meta)
 
 
@@ -180,13 +173,12 @@ def run_aggregation_comparison(models: list[str] | None, k: int, net: NetProfile
     return ExperimentReport("aggregation", rows, meta)
 
 
-def run_efficiency_sweep(k: int, net: NetProfile, compute: ComputeProfile,
-                         alg: str = "ring_packed") -> ExperimentReport:
+def run_efficiency_sweep(k: int, net: NetProfile, compute: ComputeProfile) -> ExperimentReport:
     """Per-model efficiency at each model's memory-maximal per-device batch."""
     rows = []
     for profile in all_profiles():
-        m = simulate_iteration(profile, profile.batch_per_device, compute, k, net, alg)
-        rows.append(ReportRow("efficiency", "sim", profile.name, k, alg,
+        m = simulate_iteration(profile, profile.batch_per_device, compute, k, net)
+        rows.append(ReportRow("efficiency", "sim", profile.name, k, "ring_packed",
                               m.t_comp, m.t_comm))
     for r in rows:
         if not 0.0 < r.efficiency <= 1.0:
@@ -245,10 +237,10 @@ def run_thermal_scenario(thermal: ThermalModel, duration_s: float, fan_on: bool,
     return ExperimentReport("thermal", rows, meta)
 
 
-def count_upward_steps(series: list[float], rel_tol: float = 1e-9) -> int:
-    """Number of strict increases between consecutive values."""
+def count_upward_steps(series: list[float]) -> int:
+    """Number of increases by more than a relative 1e-9 between consecutive values."""
     steps = 0
     for a, b in zip(series, series[1:]):
-        if b > a * (1.0 + rel_tol):
+        if b > a * (1.0 + 1e-9):
             steps += 1
     return steps

@@ -12,6 +12,7 @@ import json
 import socket
 import threading
 import time
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -208,9 +209,6 @@ class Coordinator:
             payload = json.dumps(table).encode()
             for fs in conns.values():
                 fs.send_frame(TAG_TABLE, payload, self.timeout)
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the launcher
-            self.error = exc
-            raise
         finally:
             for fs in conns.values():
                 fs.close()
@@ -223,7 +221,7 @@ class Coordinator:
     def _run(self) -> None:
         try:
             self.serve()
-        except BaseException as exc:  # noqa: BLE001
+        except BaseException as exc:  # noqa: BLE001 - surfaced to the launcher
             self.error = exc
 
     def join(self) -> None:
@@ -245,60 +243,61 @@ def _connect(address: tuple[str, int], timeout: float, what: str) -> socket.sock
 def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
                listen_host: str = "127.0.0.1",
                timeout: float = DEFAULT_TIMEOUT) -> TcpEndpoint:
-    """Join the group and build the full mesh; returns a ready endpoint."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((listen_host, 0))
-    listener.listen(size)
-    listen_addr = listener.getsockname()
+    """Join the group and build the full mesh; returns a ready endpoint.
 
-    coord = FramedSocket(_connect(coordinator, timeout, "coordinator"))
-    coord.send_frame(TAG_REGISTER, json.dumps(
-        {"rank": rank, "host": listen_addr[0], "port": listen_addr[1]}).encode(), timeout)
-    tag, payload = coord.recv_frame(timeout)
-    if tag != TAG_TABLE:
-        raise TagMismatch(f"expected address table, got tag {tag}")
-    table = {int(r): (h, p) for r, (h, p) in json.loads(payload.decode()).items()}
-    coord.close()
+    The listener and the coordinator connection are closed on return; if the
+    join fails, every peer connection opened so far is closed as well.
+    """
+    with (socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener,
+          ExitStack() as peers):
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((listen_host, 0))
+        listener.listen(size)
+        listen_addr = listener.getsockname()
 
-    conns: dict[int, FramedSocket] = {}
-    # dial lower ranks, announce who we are
-    for peer in range(rank):
-        host, port = table[peer]
-        fs = FramedSocket(_connect((host, port), timeout, f"rank {peer}"))
-        fs.send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode(), timeout)
-        conns[peer] = fs
-    # accept higher ranks
-    listener.settimeout(timeout)
-    try:
+        with _connect(coordinator, timeout, "coordinator") as coord_sock:
+            coord = FramedSocket(coord_sock)
+            coord.send_frame(TAG_REGISTER, json.dumps(
+                {"rank": rank, "host": listen_addr[0], "port": listen_addr[1]}).encode(),
+                timeout)
+            tag, payload = coord.recv_frame(timeout)
+        if tag != TAG_TABLE:
+            raise TagMismatch(f"expected address table, got tag {tag}")
+        table = {int(r): (h, p) for r, (h, p) in json.loads(payload.decode()).items()}
+
+        conns: dict[int, FramedSocket] = {}
+        # dial lower ranks, announce who we are
+        for peer in range(rank):
+            fs = FramedSocket(peers.enter_context(
+                _connect(table[peer], timeout, f"rank {peer}")))
+            fs.send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode(), timeout)
+            conns[peer] = fs
+        # accept higher ranks
+        listener.settimeout(timeout)
         for _ in range(size - 1 - rank):
             try:
                 peer_sock, _ = listener.accept()
             except socket.timeout:
                 raise RecvTimeout(f"rank {rank}: timed out waiting for peers") from None
-            fs = FramedSocket(peer_sock)
+            fs = FramedSocket(peers.enter_context(peer_sock))
             hello_tag, hello = fs.recv_frame(timeout)
             if hello_tag != TAG_HELLO:
                 raise TagMismatch(f"expected hello, got tag {hello_tag}")
             peer = int(json.loads(hello.decode())["rank"])
             if not rank < peer < size or peer in conns:
-                fs.close()
                 raise ProtocolError(f"rank {rank}: unexpected hello from rank {peer}",
                                     rank=peer)
             conns[peer] = fs
-    finally:
-        listener.close()
+        peers.pop_all()
     return TcpEndpoint(rank, size, conns)
 
 
-def tcp_probe_server(host: str, port: int, sessions: int = 1,
-                     timeout: float = DEFAULT_TIMEOUT
-                     ) -> tuple[tuple[str, int], threading.Thread]:
-    """Serve throughput-probe sessions on a background thread.
+def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.Thread]:
+    """Serve one throughput-probe session on a background thread.
 
-    Counts payload bytes until the END frame, then acknowledges the total.
-    Returns the bound address and the serving thread (join it to block until
-    all sessions finish).
+    Counts payload bytes until each END frame and acknowledges the total; the
+    session ends at the END frame that says "done". Returns the bound address
+    and the serving thread (join it to block until the session finishes).
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -308,23 +307,21 @@ def tcp_probe_server(host: str, port: int, sessions: int = 1,
 
     def run():
         try:
-            for _ in range(sessions):
-                server.settimeout(timeout)
-                sock, _ = server.accept()
-                fs = FramedSocket(sock)
-                done = False
-                while not done:
-                    received = 0
-                    while True:
-                        tag, payload = fs.recv_frame(timeout)
-                        if tag == TAG_PROBE_END:
-                            done = payload == b"done"
-                            break
-                        if tag != TAG_PROBE_DATA:
-                            raise TagMismatch(f"probe server got tag {tag}")
-                        received += len(payload)
-                    fs.send_frame(TAG_PROBE_ACK, str(received).encode(), timeout)
-                fs.close()
+            server.settimeout(DEFAULT_TIMEOUT)
+            fs = FramedSocket(server.accept()[0])
+            done = False
+            while not done:
+                received = 0
+                while True:
+                    tag, payload = fs.recv_frame()
+                    if tag == TAG_PROBE_END:
+                        done = payload == b"done"
+                        break
+                    if tag != TAG_PROBE_DATA:
+                        raise TagMismatch(f"probe server got tag {tag}")
+                    received += len(payload)
+                fs.send_frame(TAG_PROBE_ACK, str(received).encode())
+            fs.close()
         except (PeerDisconnected, RecvTimeout, TagMismatch, OSError):
             pass
         finally:
@@ -335,10 +332,10 @@ def tcp_probe_server(host: str, port: int, sessions: int = 1,
     return addr, thread
 
 
-def tcp_probe_client(server: tuple[str, int], seconds: float, repeat: int = 10,
-                     timeout: float = DEFAULT_TIMEOUT) -> list[float]:
+def tcp_probe_client(server: tuple[str, int], seconds: float,
+                     repeat: int = 10) -> list[float]:
     """Stream 1 MiB data frames to a probe server; returns Mbps per repeat."""
-    fs = FramedSocket(_connect(server, timeout, "probe server"))
+    fs = FramedSocket(_connect(server, DEFAULT_TIMEOUT, "probe server"))
     chunk = bytes(1 << 20)
     rates = []
     try:
@@ -346,10 +343,10 @@ def tcp_probe_client(server: tuple[str, int], seconds: float, repeat: int = 10,
             t0 = time.perf_counter()
             deadline = t0 + seconds
             while time.perf_counter() < deadline:
-                fs.send_frame(TAG_PROBE_DATA, chunk, timeout)
+                fs.send_frame(TAG_PROBE_DATA, chunk)
             last = i == repeat - 1
-            fs.send_frame(TAG_PROBE_END, b"done" if last else b"more", timeout)
-            tag, payload = fs.recv_frame(timeout)
+            fs.send_frame(TAG_PROBE_END, b"done" if last else b"more")
+            tag, payload = fs.recv_frame()
             elapsed = time.perf_counter() - t0
             if tag != TAG_PROBE_ACK:
                 raise TagMismatch(f"probe client got tag {tag}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -101,6 +102,29 @@ def test_launch_k1_equals_direct_training(tmp_path, capsys):
     assert len(report.splitlines()) == 6
 
 
+# sha256 of each default `ringtrain sim` CSV on the ethernet preset. A change
+# that moves the model on purpose updates these digests in the same commit;
+# every other change must leave them alone. Ethernet has no jitter, but the
+# collective bench's second link is wifi5, so that digest also rests on
+# numpy's PCG64 lognormal stream.
+DEFAULT_SIM_DIGESTS = {
+    "scaling": "5f9215a206f86ff7bf8c4cfcc8dcecf514131f84704d36b3d9bfa79c0ec07f22",
+    "collective": "a807c5e5f6fd92f723cc18afb3ffe0328c2f4c8cfb8721d773d1012a39f6aba3",
+    "aggregation": "11938559e0e29152f7bf062f8a6ec7d7650b0fdfa20280c23ddc0d7d07387f1b",
+    "efficiency": "79a4669707009963e5686b34e6bac56a13b465e3bbe24988f89939bf9786deea",
+    "rar-vs-tree": "97c2d37646374f4b921a93307e3d99a6a6d11a3acd02c113eed266a338f6cd59",
+    "thermal": "1b43649d9a3b85b956b4c5773f200175d9fe16566af43c524c00e61195b9e580",
+}
+
+
+@pytest.mark.parametrize("experiment", list(DEFAULT_SIM_DIGESTS))
+def test_default_sim_csv_is_unchanged(experiment, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RINGTRAIN_SEED", raising=False)
+    assert run_cli("sim", experiment, "--out", str(tmp_path)) == EXIT_OK
+    csv = tmp_path / f"{experiment.replace('-', '_')}.csv"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == DEFAULT_SIM_DIGESTS[experiment]
+
+
 def test_probe_sim_reports_profile_rate(capsys):
     assert run_cli("probe", "--sim", "ethernet", "--seconds", "2",
                    "--repeat", "3") == EXIT_OK
@@ -111,7 +135,7 @@ def test_probe_sim_reports_profile_rate(capsys):
 
 
 def test_probe_real_loopback(capsys):
-    addr, _ = tcp_probe_server("127.0.0.1", 0, sessions=1)
+    addr, _ = tcp_probe_server("127.0.0.1", 0)
     assert run_cli("probe", "--client", f"{addr[0]}:{addr[1]}",
                    "--seconds", "0.05", "--repeat", "2") == EXIT_OK
     out = capsys.readouterr().out

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import socket
 import threading
 import time
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -107,6 +110,16 @@ class TestFramedTcp:
         b.send_frame(7, floats_to_wire(payload))
         assert (endpoint.recv(1, 7) == payload).all()
         a.close(), b.close()
+
+
+@contextmanager
+def no_unclosed_sockets():
+    """Fail if a socket that became garbage inside the block was never closed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def tcp_mesh(size):
@@ -215,6 +228,41 @@ class TestRendezvousMesh:
             rendezvous(coord.address, 0, 2, timeout=1.0)
         coord.join()
         assert isinstance(coord.error, RecvTimeout)
+
+    def test_failed_coordinator_exchange_leaves_no_socket_open(self):
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=0.5)
+        coord.start()
+        with no_unclosed_sockets():
+            with pytest.raises((RecvTimeout, PeerDisconnected)):
+                rendezvous(coord.address, 0, 2, timeout=1.0)
+            coord.join()
+
+    def test_incomplete_mesh_leaves_no_socket_open(self):
+        coord = Coordinator("127.0.0.1", 0, 3, timeout=5.0)
+        coord.start()
+        errors = []
+
+        def join(rank):
+            try:
+                rendezvous(coord.address, rank, 3, timeout=1.0)
+            except RecvTimeout as exc:
+                errors.append(str(exc))   # not exc: its frames would keep a leak alive
+
+        with no_unclosed_sockets():
+            workers = [threading.Thread(target=join, args=(r,)) for r in (0, 1)]
+            for w in workers:
+                w.start()
+            # rank 2 registers but never joins the mesh: rank 1 has dialed
+            # rank 0, and rank 0 has accepted rank 1, when both time out
+            absent = FramedSocket(socket.create_connection(coord.address))
+            absent.send_frame(TAG_REGISTER, json.dumps(
+                {"rank": 2, "host": "127.0.0.1", "port": 1}).encode())
+            assert absent.recv_frame(5.0)[0] == TAG_TABLE
+            absent.close()
+            for w in workers:
+                w.join(timeout=10.0)
+            coord.join()
+        assert sorted(errors) == [f"rank {r}: timed out waiting for peers" for r in (0, 1)]
 
     def test_duplicate_registration_is_a_protocol_error(self):
         coord = Coordinator("127.0.0.1", 0, 2, timeout=2.0)
@@ -383,7 +431,7 @@ class TestProbes:
         assert rate == 0.0
 
     def test_loopback_probe_reports_positive_rate(self):
-        addr, _ = tcp_probe_server("127.0.0.1", 0, sessions=1)
+        addr, _ = tcp_probe_server("127.0.0.1", 0)
         rates = tcp_probe_client(addr, seconds=0.05, repeat=3)
         assert len(rates) == 3
         assert all(r > 0 for r in rates)
