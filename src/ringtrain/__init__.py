@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .collectives import (CommGroup, FlatBuffer, allreduce_chunkwise, pack,
                           ring_allreduce, tree_allreduce, unpack)
 from .engine import TrainingConfig, Worker, run_training, run_training_sim, scale_lr
-from .model import GradientSet, RealModel, finite_difference_check
+from .model import RealModel, finite_difference_check
 from .profiles import ModelProfile, all_profiles, build_profile
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "CommGroup", "FlatBuffer", "pack", "unpack",
     "ring_allreduce", "tree_allreduce", "allreduce_chunkwise",
     "TrainingConfig", "Worker", "run_training", "run_training_sim", "scale_lr",
-    "GradientSet", "RealModel", "finite_difference_check",
+    "RealModel", "finite_difference_check",
     "ModelProfile", "build_profile", "all_profiles",
 ]

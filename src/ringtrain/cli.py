@@ -156,6 +156,13 @@ def cmd_worker(args) -> int:
     return EXIT_OK
 
 
+def _first_failure(procs: list[subprocess.Popen]) -> tuple[int, int] | None:
+    """Poll all workers until each exits with 0 or one fails; returns the failed (rank, code)."""
+    while None in (codes := [p.poll() for p in procs]) and not any(codes):
+        time.sleep(0.01)
+    return next(((rank, code) for rank, code in enumerate(codes) if code), None)
+
+
 def cmd_launch(args, argv: list[str]) -> int:
     config = TrainingConfig.from_json(args.config)
     if config.workers != args.workers:
@@ -190,17 +197,20 @@ def cmd_launch(args, argv: list[str]) -> int:
                    "--out", str(out), "--seed", str(seed),
                    "--timeout", str(args.timeout)]
             procs.append(subprocess.Popen(cmd))
-        codes = [p.wait() for p in procs]
+        failed = _first_failure(procs)
     finally:
         killall()
+        for p in procs:
+            p.wait()
+        coordinator.stop()
         if previous is not None:
             for s, handler in zip((signal.SIGINT, signal.SIGTERM), previous):
                 signal.signal(s, handler)
     coordinator.join()
-    if any(codes):
-        bad = next(i for i, c in enumerate(codes) if c)
-        print(f"worker rank {bad} exited with code {codes[bad]}", file=sys.stderr)
-        return max(codes)
+    if failed is not None:
+        rank, code = failed
+        print(f"worker rank {rank} exited with code {code}", file=sys.stderr)
+        return code
 
     report = out / "report.csv"
     report.write_text((out / "metrics_rank0.csv").read_text())
@@ -241,12 +251,8 @@ def _run_sim(args) -> tuple[list[Path], int]:
 
 def cmd_sim(args, argv: list[str]) -> int:
     outputs, seed = _run_sim(args)
-    configs = {"net": str(args.net), "compute": str(args.compute)}
-    for name in ("net", "compute", "thermal"):
-        value = getattr(args, name)
-        p = Path(value)
-        if p.exists():
-            configs[name] = str(p)
+    # write_manifest records the digest of each value that names a file
+    configs = {name: getattr(args, name) for name in ("net", "net2", "compute", "thermal")}
     write_manifest(Path(args.out), argv, seed, configs, outputs)
     print(f"wrote {outputs[0]}")
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Allreduce collectives over an abstract transport.
 
-Two algorithms with the same contract (every rank ends with the elementwise
-SUM over all ranks' buffers):
+Two algorithms with the same contract (each takes a rank's float array and
+returns a new float32 array holding the elementwise SUM over all ranks'
+arrays):
 
 * ``ring_allreduce``: K-1 scatter-reduce steps then K-1 allgather steps
   around a logical ring; each rank sends exactly 2(K-1) messages of roughly
@@ -15,12 +16,21 @@ Averaging is deliberately not done here; callers divide by K themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import LayoutError, ProtocolError
-from .model import GradientSet
+
+# Each aggregation strategy: the collective it runs and whether it packs all
+# gradient chunks into one buffer (one invocation per step) or runs one
+# invocation per chunk. The executor and the cost model both read this table.
+AGGREGATIONS = {
+    "ring_packed": ("ring", True),
+    "tree_packed": ("tree", True),
+    "ring_chunkwise": ("ring", False),
+}
 
 # Each collective invocation claims a block of tags so that concurrent or
 # back-to-back calls can never match each other's messages.
@@ -63,53 +73,30 @@ class CommGroup:
 class FlatBuffer:
     """All gradient chunks packed into one contiguous float32 array.
 
-    ``layout`` lists (chunk_index, offset, length) spans that partition the
-    data in chunk order; ``shapes`` preserves the original chunk shapes so a
-    round trip is exact.
+    ``shapes`` lists the original chunk shapes in order, so a round trip is
+    exact.
     """
 
     data: np.ndarray
-    layout: list[tuple[int, int, int]]
-    shapes: list[tuple[int, ...]] | None = None
-
-    def validate(self) -> None:
-        expect = 0
-        for i, (idx, offset, length) in enumerate(self.layout):
-            if idx != i or offset != expect or length < 0:
-                raise LayoutError(f"corrupt layout entry {i}: {(idx, offset, length)}")
-            expect = offset + length
-        if expect != self.data.size:
-            raise LayoutError(
-                f"layout covers {expect} elements but buffer holds {self.data.size}")
+    shapes: list[tuple[int, ...]]
 
 
-def pack(grads: GradientSet) -> FlatBuffer:
-    """Concatenate all chunks into a single buffer, recording each span."""
+def pack(grads: list[np.ndarray]) -> FlatBuffer:
+    """Concatenate all chunks into a single buffer, recording their shapes."""
     if len(grads) == 0:
         raise ValueError("cannot pack an empty gradient set")
-    layout = []
-    offset = 0
-    flats = []
-    shapes = []
-    for i, chunk in enumerate(grads):
-        flat = np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1)
-        layout.append((i, offset, flat.size))
-        offset += flat.size
-        flats.append(flat)
-        shapes.append(chunk.shape)
-    return FlatBuffer(np.concatenate(flats), layout, shapes)
+    flats = [np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1) for chunk in grads]
+    return FlatBuffer(np.concatenate(flats), [chunk.shape for chunk in grads])
 
 
-def unpack(buf: FlatBuffer) -> GradientSet:
-    """Inverse of pack(); bit-exact round trip."""
-    buf.validate()
-    chunks = []
-    for i, (_, offset, length) in enumerate(buf.layout):
-        chunk = buf.data[offset:offset + length].copy()
-        if buf.shapes is not None:
-            chunk = chunk.reshape(buf.shapes[i])
-        chunks.append(chunk)
-    return GradientSet(chunks)
+def unpack(buf: FlatBuffer) -> list[np.ndarray]:
+    """Inverse of pack(): copies each chunk out; bit-exact round trip."""
+    sizes = [math.prod(shape) for shape in buf.shapes]
+    if sum(sizes) != buf.data.size:
+        raise LayoutError(
+            f"shapes cover {sum(sizes)} elements but buffer holds {buf.data.size}")
+    pieces = np.split(buf.data, np.cumsum(sizes)[:-1])
+    return [piece.reshape(shape).copy() for piece, shape in zip(pieces, buf.shapes)]
 
 
 def segment_bounds(n: int, k: int) -> list[tuple[int, int]]:
@@ -143,7 +130,8 @@ def ring_steps(rank: int, k: int):
         yield (rank + 1 - step) % k, (rank - step) % k, False
 
 
-def _ring_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
+def ring_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
+    """Elementwise sum of equal-length arrays across all ranks (ring)."""
     k = group.size
     out = data.astype(np.float32, copy=True)
     if k == 1:
@@ -169,7 +157,8 @@ def _ring_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
     return out
 
 
-def _tree_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
+def tree_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
+    """Elementwise sum across all ranks via binomial reduce + broadcast."""
     k = group.size
     out = data.astype(np.float32, copy=True)
     if k == 1:
@@ -207,29 +196,15 @@ def _tree_sum(data: np.ndarray, group: CommGroup) -> np.ndarray:
             if partner < k:
                 ep.send(partner, tag, out)
         elif rank % (2 * mask) == mask:
-            out = ep.recv(rank - mask, tag)
-            if out.size != n:
+            incoming = ep.recv(rank - mask, tag)
+            if incoming.size != n:
                 raise ProtocolError(
-                    f"rank {rank}: broadcast payload of {out.size} elements, "
+                    f"rank {rank}: broadcast payload of {incoming.size} elements, "
                     f"expected {n}")
+            out[:] = incoming   # a TCP payload is a read-only view of the frame
     return out
 
 
-def ring_allreduce(buf: FlatBuffer, group: CommGroup) -> FlatBuffer:
-    """Elementwise sum of equal-length buffers across all ranks (ring)."""
-    return FlatBuffer(_ring_sum(buf.data, group), list(buf.layout), buf.shapes)
-
-
-def tree_allreduce(buf: FlatBuffer, group: CommGroup) -> FlatBuffer:
-    """Elementwise sum across all ranks via binomial reduce + broadcast."""
-    return FlatBuffer(_tree_sum(buf.data, group), list(buf.layout), buf.shapes)
-
-
-def allreduce_chunkwise(grads: GradientSet, group: CommGroup) -> GradientSet:
+def allreduce_chunkwise(grads: list[np.ndarray], group: CommGroup) -> list[np.ndarray]:
     """One ring allreduce invocation per chunk, in chunk order."""
-    summed = []
-    for chunk in grads:
-        flat = np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1)
-        buf = FlatBuffer(flat, [(0, 0, flat.size)], [chunk.shape])
-        summed.append(unpack(ring_allreduce(buf, group)).chunks[0])
-    return GradientSet(summed)
+    return [ring_allreduce(chunk.reshape(-1), group).reshape(chunk.shape) for chunk in grads]

@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectives import CommGroup, allreduce_chunkwise, pack, ring_allreduce, tree_allreduce, unpack
+from .collectives import (AGGREGATIONS, CommGroup, allreduce_chunkwise, pack, ring_allreduce,
+                          tree_allreduce, unpack)
 from .data import make_blobs
 from .errors import RingtrainError
-from .model import GradientSet, RealModel
+from .model import RealModel
 from .preset import load_compute, load_net
 from .transport.net import NetProfile
 from .transport.sim import SimCluster
 
-AGGREGATIONS = ("ring_packed", "tree_packed", "ring_chunkwise")
 LR_SCALINGS = ("none", "linear")
 
 METRICS_HEADER = "iter,rank,t_comp_s,t_comm_s,loss"
@@ -60,7 +60,7 @@ class TrainingConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+            raise ValueError(f"aggregation must be one of {tuple(AGGREGATIONS)}")
         if self.lr_scaling not in LR_SCALINGS:
             raise ValueError(f"lr_scaling must be one of {LR_SCALINGS}")
         if self.dataset_size < self.global_batch:
@@ -136,18 +136,19 @@ class Worker:
                                   spread=config.dataset_spread)
         self.lr = scale_lr(config.base_lr, config.global_batch,
                            config.lr_reference_batch, config.lr_scaling)
-        self.last_local_grads: GradientSet | None = None
-        self.last_mean_grads: GradientSet | None = None
+        self.last_local_grads: list[np.ndarray] | None = None
+        self.last_mean_grads: list[np.ndarray] | None = None
 
-    def _aggregate(self, grads: GradientSet) -> GradientSet:
-        agg = self.config.aggregation
-        if agg == "ring_chunkwise":
+    def _aggregate(self, grads: list[np.ndarray]) -> list[np.ndarray]:
+        collective, packed = AGGREGATIONS[self.config.aggregation]
+        if not packed:
             return allreduce_chunkwise(grads, self.group)
         buf = pack(grads)
-        self.endpoint.advance(buf.data.nbytes / self.compute.pack_bandwidth)
-        alg = ring_allreduce if agg == "ring_packed" else tree_allreduce
-        buf = alg(buf, self.group)
-        self.endpoint.advance(buf.data.nbytes / self.compute.pack_bandwidth)
+        copy_time = buf.data.nbytes / self.compute.pack_bandwidth
+        self.endpoint.advance(copy_time)
+        allreduce = ring_allreduce if collective == "ring" else tree_allreduce
+        buf.data = allreduce(buf.data, self.group)
+        self.endpoint.advance(copy_time)
         return unpack(buf)
 
     def train_step(self, iteration: int) -> IterationMetrics:
@@ -171,7 +172,7 @@ class Worker:
                 f"rank {rank} failed during {phase} at iteration {iteration}: {exc}"
             ) from exc
 
-        mean = GradientSet([c / cfg.workers for c in summed])
+        mean = [c / cfg.workers for c in summed]
         self.last_local_grads = grads
         self.last_mean_grads = mean
         self.model.sgd_update(mean, lr=self.lr, weight_decay=cfg.weight_decay)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..collectives import ring_steps, segment_bounds
+from ..collectives import AGGREGATIONS, ring_steps, segment_bounds
 from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile
 from ..transport.net import NetProfile, sim_transfer_time
 
@@ -70,31 +70,37 @@ def tree_comm_time(n_bytes: int, k: int, net: NetProfile, segment_bytes: int,
     return total
 
 
+def _invocation_time(collective: str, n_bytes: int, k: int, net: NetProfile,
+                     compute: ComputeProfile, rng: np.random.Generator) -> float:
+    """Message time of one ring or tree allreduce of ``n_bytes``, without overhead."""
+    if collective == "ring":
+        return ring_comm_time(n_bytes // FLOAT_BYTES, k, net, rng)
+    if collective == "tree":
+        return tree_comm_time(n_bytes, k, net, compute.tree_segment_bytes, rng)
+    raise ValueError(f"unknown collective {collective!r}")
+
+
 def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
                           compute: ComputeProfile, alg: str) -> float:
     """Communication-phase time for one iteration's gradient aggregation.
 
-    Packed modes pay one invocation overhead plus the pack/unpack memory
-    copies; the chunk-wise mode pays the invocation overhead once per chunk
-    and never copies.
+    Every invocation pays the invocation overhead: a packed strategy makes
+    one invocation and pays the pack/unpack memory copies once, a chunk-wise
+    strategy makes one invocation per chunk and never copies.
     """
     if k == 1:
         return 0.0
+    if alg not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {alg!r}")
+    collective, packed = AGGREGATIONS[alg]
+    buffers = [profile.total_bytes] if packed else [n * FLOAT_BYTES for n in profile.chunk_elems]
+    copies = 2 * profile.total_bytes / compute.pack_bandwidth if packed else 0.0
     rng = np.random.default_rng(net.seed)
-    ovh = compute.invocation_overhead
-    if alg == "ring_packed":
-        copies = 2 * profile.total_bytes / compute.pack_bandwidth
-        return ovh + copies + ring_comm_time(profile.total_elems, k, net, rng)
-    if alg == "tree_packed":
-        copies = 2 * profile.total_bytes / compute.pack_bandwidth
-        return ovh + copies + tree_comm_time(profile.total_bytes, k, net,
-                                             compute.tree_segment_bytes, rng)
-    if alg == "ring_chunkwise":
-        total = 0.0
-        for elems in profile.chunk_elems:
-            total += ovh + ring_comm_time(elems, k, net, rng)
-        return total
-    raise ValueError(f"unknown aggregation {alg!r}")
+    total = 0.0
+    for n_bytes in buffers:
+        total += (compute.invocation_overhead + copies
+                  + _invocation_time(collective, n_bytes, k, net, compute, rng))
+    return total
 
 
 def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfile,
@@ -102,10 +108,5 @@ def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfi
     """Bare allreduce benchmark time for a buffer of ``n_bytes``."""
     if k == 1:
         return 0.0
-    rng = _jitter_rng(net, rng)
-    ovh = compute.invocation_overhead
-    if alg == "ring":
-        return ovh + ring_comm_time(n_bytes // FLOAT_BYTES, k, net, rng)
-    if alg == "tree":
-        return ovh + tree_comm_time(n_bytes, k, net, compute.tree_segment_bytes, rng)
-    raise ValueError(f"unknown collective {alg!r}")
+    return compute.invocation_overhead + _invocation_time(alg, n_bytes, k, net, compute,
+                                                          _jitter_rng(net, rng))

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
+from ..collectives import AGGREGATIONS
 from ..engine import IterationMetrics
 from ..errors import AssertionFailure
 from ..profiles import (ComputeProfile, ModelProfile, ThermalModel, all_profiles,
@@ -166,7 +167,7 @@ def run_aggregation_comparison(models: list[str] | None, k: int, net: NetProfile
     profiles = [build_profile(m) for m in models] if models else all_profiles()
     rows = []
     for profile in profiles:
-        for alg in ("ring_packed", "tree_packed", "ring_chunkwise"):
+        for alg in AGGREGATIONS:
             t_comm = aggregation_comm_time(profile, k, net, compute, alg)
             rows.append(ReportRow("aggregation", "sim", profile.name, k, alg, 0.0, t_comm))
     meta = _meta(net, compute, net.seed, k=k)

@@ -16,22 +16,6 @@ from .errors import StaleCacheError
 
 
 @dataclass
-class GradientSet:
-    """Ordered per-layer gradient chunks, one array per parametric layer."""
-
-    chunks: list[np.ndarray]
-
-    def __iter__(self):
-        return iter(self.chunks)
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    def total_elems(self) -> int:
-        return sum(c.size for c in self.chunks)
-
-
-@dataclass
 class ForwardCache:
     """Activations retained by forward() for the matching backward()."""
 
@@ -120,8 +104,8 @@ class RealModel:
         cache = ForwardCache(self, layer_inputs, masks, probs, targets, batch)
         return loss, cache
 
-    def backward(self, cache: ForwardCache) -> GradientSet:
-        """Gradients of the mean loss w.r.t. every weight matrix."""
+    def backward(self, cache: ForwardCache) -> list[np.ndarray]:
+        """Gradients of the mean loss w.r.t. every weight matrix, one array each."""
         if cache is None or cache.model is not self:
             raise StaleCacheError("backward() needs the cache from this model's forward()")
         delta = (cache.probs - cache.targets) / cache.batch
@@ -131,9 +115,9 @@ class RealModel:
             grads[i] = cache.inputs[i].T @ delta
             if i > 0:
                 delta = (delta @ self.weights[i].T) * cache.masks[i - 1]
-        return GradientSet(grads)
+        return grads
 
-    def sgd_update(self, grads: GradientSet, lr: float, weight_decay: float = 0.0) -> None:
+    def sgd_update(self, grads: list[np.ndarray], lr: float, weight_decay: float = 0.0) -> None:
         """w <- w - lr * (g + weight_decay * w), elementwise."""
         if len(grads) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} gradient chunks, got {len(grads)}")
@@ -180,8 +164,8 @@ def finite_difference_check(model: RealModel, inputs: np.ndarray, labels: np.nda
             lm, _ = shadow.forward(x, labels)
             flat[j] = orig
             num_flat[j] = (lp - lm) / (2.0 * step)
-        denom = np.maximum(np.abs(numeric), np.abs(analytic.chunks[li]))
+        denom = np.maximum(np.abs(numeric), np.abs(analytic[li]))
         denom = np.maximum(denom, 1e-8)
-        rel = np.abs(numeric - analytic.chunks[li]) / denom
+        rel = np.abs(numeric - analytic[li]) / denom
         worst = max(worst, float(rel.max()))
     return worst

@@ -12,7 +12,7 @@ import json
 import socket
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 
 import numpy as np
 
@@ -180,7 +180,8 @@ class Coordinator:
         """Accept all workers, then send everyone the rank -> address table."""
         conns: dict[int, FramedSocket] = {}
         table: dict[str, tuple[str, int]] = {}
-        try:
+        # every accepted socket is closed on the way out, registered or not
+        with self._server, ExitStack() as accepted:
             self._server.settimeout(self.timeout)
             deadline = time.monotonic() + self.timeout
             while len(conns) < self.size:
@@ -193,7 +194,7 @@ class Coordinator:
                     raise RecvTimeout(
                         f"rendezvous timed out with {len(conns)}/{self.size} workers"
                     ) from None
-                fs = FramedSocket(sock)
+                fs = FramedSocket(accepted.enter_context(sock))
                 tag, payload = fs.recv_frame(self.timeout)
                 if tag != TAG_REGISTER:
                     raise TagMismatch(f"coordinator expected registration, got tag {tag}")
@@ -202,17 +203,12 @@ class Coordinator:
                 if not 0 <= rank < self.size:
                     raise ValueError(f"registration for out-of-range rank {rank}")
                 if rank in conns:
-                    fs.close()
                     raise ProtocolError(f"rank {rank} registered twice", rank=rank)
                 conns[rank] = fs
                 table[str(rank)] = (reg["host"], int(reg["port"]))
             payload = json.dumps(table).encode()
             for fs in conns.values():
                 fs.send_frame(TAG_TABLE, payload, self.timeout)
-        finally:
-            for fs in conns.values():
-                fs.close()
-            self._server.close()
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -223,6 +219,11 @@ class Coordinator:
             self.serve()
         except BaseException as exc:  # noqa: BLE001 - surfaced to the launcher
             self.error = exc
+
+    def stop(self) -> None:
+        """Stop waiting for registrations: an accept in progress fails at once."""
+        with suppress(OSError):   # serve has closed it already
+            self._server.shutdown(socket.SHUT_RDWR)
 
     def join(self) -> None:
         if self._thread is not None:
@@ -307,25 +308,25 @@ def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.T
 
     def run():
         try:
-            server.settimeout(DEFAULT_TIMEOUT)
-            fs = FramedSocket(server.accept()[0])
-            done = False
-            while not done:
-                received = 0
-                while True:
-                    tag, payload = fs.recv_frame()
-                    if tag == TAG_PROBE_END:
-                        done = payload == b"done"
-                        break
-                    if tag != TAG_PROBE_DATA:
-                        raise TagMismatch(f"probe server got tag {tag}")
-                    received += len(payload)
-                fs.send_frame(TAG_PROBE_ACK, str(received).encode())
-            fs.close()
+            with server:   # one session: stop listening once it is accepted
+                server.settimeout(DEFAULT_TIMEOUT)
+                sock = server.accept()[0]
+            with sock:
+                fs = FramedSocket(sock)
+                done = False
+                while not done:
+                    received = 0
+                    while True:
+                        tag, payload = fs.recv_frame()
+                        if tag == TAG_PROBE_END:
+                            done = payload == b"done"
+                            break
+                        if tag != TAG_PROBE_DATA:
+                            raise TagMismatch(f"probe server got tag {tag}")
+                        received += len(payload)
+                    fs.send_frame(TAG_PROBE_ACK, str(received).encode())
         except (PeerDisconnected, RecvTimeout, TagMismatch, OSError):
             pass
-        finally:
-            server.close()
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ringtrain.cli import EXIT_OK, main as cli_main
-from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce, tree_allreduce
+from ringtrain.collectives import CommGroup, ring_allreduce, tree_allreduce
 from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.harness import (contention_slowdown, count_upward_steps,
                                fit_contention_coeff, fit_invocation_overhead,
@@ -59,13 +59,10 @@ def test_criterion_01_collective_correctness():
 
                 def task(ep):
                     g = CommGroup(ep)
-                    r = ring_allreduce(FlatBuffer(floats[ep.rank].copy(),
-                                                  [(0, 0, n)]), g).data
-                    t = tree_allreduce(FlatBuffer(floats[ep.rank].copy(),
-                                                  [(0, 0, n)]), g).data
+                    r = ring_allreduce(floats[ep.rank].copy(), g)
+                    t = tree_allreduce(floats[ep.rank].copy(), g)
                     sends_before_ints = ep.n_sends
-                    ri = ring_allreduce(FlatBuffer(ints[ep.rank].copy(),
-                                                   [(0, 0, n)]), g).data
+                    ri = ring_allreduce(ints[ep.rank].copy(), g)
                     ring_sends = ep.n_sends - sends_before_ints
                     return r, t, ri, ring_sends
 

@@ -2,12 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ringtrain.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, main
 from ringtrain.engine import TrainingConfig
+from ringtrain.preset import preset_path
 from ringtrain.transport.tcp import tcp_probe_server
 
 
@@ -79,6 +82,55 @@ def test_seed_env_override_matches_flag(tmp_path, monkeypatch, capsys):
             == (out_env / "collective.csv").read_bytes())
     manifest = json.loads((out_env / "manifest.json").read_text())
     assert manifest["resolved_seed"] == 77
+
+
+def test_sim_manifest_records_every_config_file(tmp_path, capsys):
+    net2 = tmp_path / "link2.json"
+    net2.write_bytes(preset_path("wifi5").read_bytes())
+    out = tmp_path / "out"
+    assert run_cli("sim", "collective", "--sizes", "65536", "--k", "2",
+                   "--net2", str(net2), "--out", str(out)) == EXIT_OK
+    configs = json.loads((out / "manifest.json").read_text())["configs"]
+    # preset names are not files, so only the --net2 file is recorded
+    assert configs == {"net2": {"path": str(net2),
+                                "sha256": hashlib.sha256(net2.read_bytes()).hexdigest()}}
+
+
+class FakeWorker:
+    """Stands in for a worker process and starts none: rank 1 exits with code 2
+    at once, rank 0 runs until it is terminated."""
+
+    def __init__(self, cmd):
+        self.returncode = 2 if cmd[cmd.index("--rank") + 1] == "1" else None
+        self.stopped = threading.Event()
+
+    def poll(self):
+        return self.returncode
+
+    def terminate(self):
+        if self.returncode is None:
+            self.returncode = -15
+        self.stopped.set()
+
+    def wait(self, timeout=None):
+        # rank 0 gives up after 2 s, so a launcher that waits on it in rank
+        # order fails the test below instead of hanging
+        if self.returncode is None and not self.stopped.wait(2.0):
+            self.returncode = 3
+        return self.returncode
+
+
+def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+    monkeypatch.setattr(subprocess, "Popen", FakeWorker)
+    t0 = time.perf_counter()
+    code = run_cli("launch", "--workers", "2", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out"), "--timeout", "5")
+    assert time.perf_counter() - t0 < 1.5   # rank 0 alone would hold it 2 s, rendezvous 5 s
+    assert code == 2
+    assert "worker rank 1 exited with code 2" in capsys.readouterr().err
 
 
 def test_launch_k1_equals_direct_training(tmp_path, capsys):

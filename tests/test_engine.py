@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from ringtrain.engine import (IterationMetrics, METRICS_HEADER,
                               TrainingConfig, Worker, run_training_sim, scale_lr,
                               shard_batch, shard_indices, write_metrics_csv)
 from ringtrain.model import RealModel
+from ringtrain.preset import load_net
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
 from ringtrain.transport.tcp import TcpEndpoint
@@ -86,7 +88,7 @@ def test_k1_matches_manual_single_process_sgd_bitwise():
         x, y = shard_batch(dataset, it, 0, 1, 8)
         _, cache = model.forward(x, y)
         grads = model.backward(cache)
-        grads.chunks = [g / 1 for g in grads.chunks]
+        grads = [g / 1 for g in grads]
         model.sgd_update(grads, lr=cfg.base_lr, weight_decay=cfg.weight_decay)
     assert worker.model.weight_checksum() == model.weight_checksum()
     assert len(metrics) == 3
@@ -115,8 +117,8 @@ def test_aggregated_gradient_is_mean_of_locals_three_ranks():
     cluster.run(lambda ep: workers[ep.rank].train_step(0))
     locals_ = [w.last_local_grads for w in workers]
     for li in range(len(workers[0].model.weights)):
-        central = np.mean([lg.chunks[li].astype(np.float64) for lg in locals_], axis=0)
-        got = workers[0].last_mean_grads.chunks[li]
+        central = np.mean([lg[li].astype(np.float64) for lg in locals_], axis=0)
+        got = workers[0].last_mean_grads[li]
         scale = max(1.0, float(np.abs(central).max()))
         assert float(np.abs(got - central).max()) <= 1e-6 * scale
 
@@ -127,6 +129,30 @@ def test_replica_consistency_all_aggregations(aggregation):
     _, models = run_training_sim(cfg, ETH)
     checksums = {m.weight_checksum() for m in models}
     assert len(checksums) == 1
+
+
+# sha256 of every rank's weights and of every rank's (t_comp, t_comm, loss)
+# stream after five simulated iterations at K=4 on the ethernet preset, seed 3.
+# A change that moves training or its virtual clock on purpose updates these
+# digests in the same commit; every other change must leave them alone.
+SIM_TRAINING_DIGESTS = {
+    "ring_packed": ("823874535685cbca0b748d2a69e48048dd6efeeccf716c1858c207eb42af42fa",
+                    "ee147981f17918c95522304ebd0b7ba3eadcaaff64f8e66e8df92a6f5a72bc63"),
+    "tree_packed": ("2b8acdca13b979418c17cd32777fa1d7933a2778d07f4bdf87d8f5e3a1200526",
+                    "154e34d110226a75987e2b8bb534fda600b018fa6e06f50d092279eb037bd244"),
+    "ring_chunkwise": ("823874535685cbca0b748d2a69e48048dd6efeeccf716c1858c207eb42af42fa",
+                       "54ea2641a9f59fd04973fa6094500e99fcc172d71e4e12857089445009a89d02"),
+}
+
+
+@pytest.mark.parametrize("aggregation", list(SIM_TRAINING_DIGESTS))
+def test_sim_training_is_unchanged(aggregation):
+    cfg = config(4, 4, iterations=5, seed=3, aggregation=aggregation)
+    metrics, models = run_training_sim(cfg, load_net("ethernet"))
+    weights = b"".join(w.tobytes() for m in models for w in m.weights)
+    clock = repr([[(m.t_comp, m.t_comm, m.loss) for m in rank] for rank in metrics])
+    assert (hashlib.sha256(weights).hexdigest(),
+            hashlib.sha256(clock.encode()).hexdigest()) == SIM_TRAINING_DIGESTS[aggregation]
 
 
 def test_loss_decreases_on_separable_data():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce
+from ringtrain.collectives import CommGroup, ring_allreduce
 from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.errors import AssertionFailure
 from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_time,
@@ -144,8 +144,7 @@ class TestSimMatchesCostModel:
         assert net.jitter_frac == 0.0
         for n in (7, 1001, 4099, 1000 * k):
             def task(ep):
-                buf = FlatBuffer(np.ones(n, np.float32), [(0, 0, n)])
-                ring_allreduce(buf, CommGroup(ep))
+                ring_allreduce(np.ones(n, np.float32), CommGroup(ep))
                 return ep.clock
 
             clocks = SimCluster(k, net).run(task)

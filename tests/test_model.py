@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringtrain.errors import StaleCacheError
-from ringtrain.model import GradientSet, RealModel, finite_difference_check
+from ringtrain.model import RealModel, finite_difference_check
 
 
 def test_zero_weights_uniform_softmax_loss():
@@ -52,7 +52,7 @@ def test_backward_zero_gradient_when_targets_equal_predictions():
     targets = np.full((5, 4), 0.25, dtype=np.float32)
     _, cache = model.forward(x, targets)
     grads = model.backward(cache)
-    assert np.abs(grads.chunks[0]).max() == 0.0
+    assert np.abs(grads[0]).max() == 0.0
 
 
 def test_backward_matches_finite_differences():
@@ -94,14 +94,14 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         model.forward(np.zeros((2, 3), np.float32), np.array([0]))
     with pytest.raises(ValueError):
-        model.sgd_update(GradientSet([np.zeros((2, 2), np.float32)]), lr=0.1)
+        model.sgd_update([np.zeros((2, 2), np.float32)], lr=0.1)
 
 
 class TestSgdUpdate:
     def test_zero_lr_keeps_weights(self):
         model = RealModel([3, 2], seed=5)
         before = [w.copy() for w in model.weights]
-        grads = GradientSet([np.ones_like(w) for w in model.weights])
+        grads = [np.ones_like(w) for w in model.weights]
         model.sgd_update(grads, lr=0.0, weight_decay=0.5)
         for w, b in zip(model.weights, before):
             assert (w == b).all()
@@ -109,7 +109,7 @@ class TestSgdUpdate:
     def test_zero_grads_zero_decay_keeps_weights(self):
         model = RealModel([3, 2], seed=5)
         before = [w.copy() for w in model.weights]
-        model.sgd_update(GradientSet([np.zeros_like(w) for w in model.weights]),
+        model.sgd_update([np.zeros_like(w) for w in model.weights],
                          lr=0.1, weight_decay=0.0)
         for w, b in zip(model.weights, before):
             assert (w == b).all()
@@ -118,7 +118,7 @@ class TestSgdUpdate:
         # w=1.0, g=0.5, lr=0.01, wd=0.0002 -> 1.0 - 0.01*(0.5 + 0.0002*1.0)
         model = RealModel([1, 1], seed=0)
         model.weights[0][:] = 1.0
-        model.sgd_update(GradientSet([np.full((1, 1), 0.5, np.float32)]),
+        model.sgd_update([np.full((1, 1), 0.5, np.float32)],
                          lr=0.01, weight_decay=0.0002)
         assert model.weights[0][0, 0] == pytest.approx(0.994998, abs=1e-9)
 

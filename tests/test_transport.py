@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ringtrain.collectives import CommGroup, FlatBuffer, ring_allreduce
+from ringtrain.collectives import CommGroup, ring_allreduce, tree_allreduce
 from ringtrain.errors import (PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch,
                               WireProtocolError)
 from ringtrain.transport.frame import (FRAME_MAGIC, decode_header, encode_frame,
@@ -281,6 +281,26 @@ class TestRendezvousMesh:
         for fs in socks:
             fs.close()
 
+    @pytest.mark.parametrize("first_frame,error", [
+        ((7, b"{}"), TagMismatch),
+        ((TAG_REGISTER, b"not json"), ValueError),
+        ((TAG_REGISTER, json.dumps({"rank": 5, "host": "127.0.0.1", "port": 1}).encode()),
+         ValueError),
+        (None, PeerDisconnected),   # the connection closes before any frame
+    ])
+    def test_rejected_registration_leaves_no_socket_open(self, first_frame, error):
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=5.0)
+        coord.start()
+        with no_unclosed_sockets():
+            fs = FramedSocket(socket.create_connection(coord.address))
+            if first_frame is not None:
+                fs.send_frame(*first_frame)
+            fs.close()
+            coord.join()
+            # keep only the type: the error's frames would keep a leak alive
+            failure, coord.error = type(coord.error), None
+        assert issubclass(failure, error)
+
     @pytest.mark.parametrize("hello_rank", [0, 2])
     def test_hello_from_an_unexpected_rank_is_rejected(self, hello_rank):
         coord = Coordinator("127.0.0.1", 0, 2, timeout=5.0)
@@ -310,6 +330,25 @@ class TestRendezvousMesh:
         peer.close()
         assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
         assert f"rank {hello_rank}" in str(errors[0])
+
+
+def test_tcp_tree_allreduce_returns_writable_arrays_on_every_rank():
+    endpoints = tcp_mesh(3)
+    results = [None] * 3
+
+    def run(ep):
+        results[ep.rank] = tree_allreduce(np.full(5, ep.rank + 1.0, np.float32), CommGroup(ep))
+
+    threads = [threading.Thread(target=run, args=(ep,)) for ep in endpoints]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+    for ep in endpoints:
+        ep.close()
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert out.flags.writeable and (out == 6.0).all()
 
 
 class TestSimTransferTime:
@@ -357,8 +396,7 @@ class TestSimCluster:
                 clocks = []
                 group = CommGroup(ep)
                 for _ in range(3):
-                    ring_allreduce(FlatBuffer(np.ones(100, np.float32),
-                                              [(0, 0, 100)]), group)
+                    ring_allreduce(np.ones(100, np.float32), group)
                     clocks.append(ep.clock)
                 return clocks
 
@@ -392,8 +430,7 @@ def test_real_and_sim_transports_agree_numerically():
     cluster = SimCluster(size, ETH)
 
     def sim_task(ep):
-        return ring_allreduce(FlatBuffer(payloads[ep.rank].copy(), [(0, 0, n)]),
-                              CommGroup(ep)).data.tobytes()
+        return ring_allreduce(payloads[ep.rank].copy(), CommGroup(ep)).tobytes()
 
     sim_results = cluster.run(sim_task)
 
@@ -403,9 +440,8 @@ def test_real_and_sim_transports_agree_numerically():
 
     def real_task(rank):
         ep = rendezvous(coord.address, rank, size, timeout=10)
-        out = ring_allreduce(FlatBuffer(payloads[rank].copy(), [(0, 0, n)]),
-                             CommGroup(ep))
-        real_results[rank] = out.data.tobytes()
+        out = ring_allreduce(payloads[rank].copy(), CommGroup(ep))
+        real_results[rank] = out.tobytes()
         ep.close()
 
     threads = [threading.Thread(target=real_task, args=(r,)) for r in range(size)]
@@ -429,6 +465,15 @@ class TestProbes:
         rate, aborted = sim_probe_bandwidth(prof, duration_s=1.0)
         assert aborted
         assert rate == 0.0
+
+    def test_probe_server_closes_a_connection_that_sends_a_wrong_tag(self):
+        with no_unclosed_sockets():
+            addr, thread = tcp_probe_server("127.0.0.1", 0)
+            fs = FramedSocket(socket.create_connection(addr))
+            fs.send_frame(7, b"")
+            thread.join(timeout=5.0)
+            fs.close()
+        assert not thread.is_alive()
 
     def test_loopback_probe_reports_positive_rate(self):
         addr, _ = tcp_probe_server("127.0.0.1", 0)
