@@ -37,6 +37,7 @@ EXIT_ASSERT = 4
 
 SIM_EXPERIMENTS = ("scaling", "collective", "aggregation", "efficiency",
                    "rar-vs-tree", "thermal")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _resolved_seed(flag_seed: int | None, fallback: int) -> int:
@@ -53,7 +54,8 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, argv: list[str], seed: int,
-                   config_paths: dict[str, str], outputs: list[Path]) -> Path:
+                   config_paths: dict[str, str], outputs: list[Path],
+                   worker_threads: dict[str, str] | None = None) -> Path:
     """Record everything needed to reproduce this run byte-for-byte."""
     manifest = {
         "version": __version__,
@@ -64,6 +66,8 @@ def write_manifest(out_dir: Path, argv: list[str], seed: int,
         "outputs": [str(p) for p in outputs],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    if worker_threads is not None:
+        manifest["worker_threads"] = worker_threads
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
@@ -163,6 +167,19 @@ def _first_failure(procs: list[subprocess.Popen]) -> tuple[int, int] | None:
     return next(((rank, code) for rank, code in enumerate(codes) if code), None)
 
 
+def _worker_env(workers: int) -> dict[str, str]:
+    """This process's environment, with each worker's thread pools sized to its
+    share of the cores this process may run on; a value already set wins."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity on this platform
+        cores = os.cpu_count() or 1
+    env = dict(os.environ)
+    for var in THREAD_VARS:
+        env.setdefault(var, str(max(1, cores // workers)))
+    return env
+
+
 def cmd_launch(args, argv: list[str]) -> int:
     config = TrainingConfig.from_json(args.config)
     if config.workers != args.workers:
@@ -176,6 +193,7 @@ def cmd_launch(args, argv: list[str]) -> int:
     coordinator = Coordinator("127.0.0.1", 0, args.workers, timeout=args.timeout)
     coordinator.start()
     host, port = coordinator.address
+    env = _worker_env(args.workers)
     procs = []
 
     def killall(signum=None, frame=None):
@@ -196,7 +214,7 @@ def cmd_launch(args, argv: list[str]) -> int:
                    "--coordinator", f"{host}:{port}", "--config", args.config,
                    "--out", str(out), "--seed", str(seed),
                    "--timeout", str(args.timeout)]
-            procs.append(subprocess.Popen(cmd))
+            procs.append(subprocess.Popen(cmd, env=env))
         failed = _first_failure(procs)
     finally:
         killall()
@@ -215,7 +233,8 @@ def cmd_launch(args, argv: list[str]) -> int:
     report = out / "report.csv"
     report.write_text((out / "metrics_rank0.csv").read_text())
     write_manifest(out, argv, seed, {"training_config": args.config},
-                   [report] + [out / f"metrics_rank{r}.csv" for r in range(args.workers)])
+                   [report] + [out / f"metrics_rank{r}.csv" for r in range(args.workers)],
+                   {var: env[var] for var in THREAD_VARS})
     return EXIT_OK
 
 

@@ -201,7 +201,7 @@ def tree_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
                 raise ProtocolError(
                     f"rank {rank}: broadcast payload of {incoming.size} elements, "
                     f"expected {n}")
-            out[:] = incoming   # a TCP payload is a read-only view of the frame
+            out[:] = incoming   # a TCP payload views its frame's buffer; the result is out
     return out
 
 

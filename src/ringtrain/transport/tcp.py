@@ -16,8 +16,8 @@ from contextlib import ExitStack, suppress
 
 import numpy as np
 
-from ..errors import (PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch,
-                      WireProtocolError)
+from ..errors import (CommunicationError, PeerDisconnected, ProtocolError, RecvTimeout,
+                      TagMismatch, WireProtocolError)
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
 
 DEFAULT_TIMEOUT = 30.0
@@ -46,34 +46,49 @@ class FramedSocket:
         except OSError:
             pass
 
-    def _recv_exact(self, n: int, timeout: float) -> bytes:
+    def _recv_exact(self, n: int, timeout: float) -> bytearray:
+        """Read exactly ``n`` bytes straight into one new buffer."""
         self.sock.settimeout(timeout)
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self.sock.recv(min(n - len(buf), 1 << 20))
-            except (socket.timeout, BlockingIOError):   # a zero timeout raises the latter
-                raise RecvTimeout(f"recv timed out after {timeout}s") from None
-            except OSError as exc:
-                self.dead = True
-                raise PeerDisconnected(f"connection failed: {exc}") from None
-            if not chunk:
-                self.dead = True
-                raise PeerDisconnected("peer closed the connection")
-            buf += chunk
-        return bytes(buf)
+        buf = bytearray(n)
+        got = 0
+        with memoryview(buf) as view:
+            while got < n:
+                try:
+                    count = self.sock.recv_into(view[got:])
+                except (socket.timeout, BlockingIOError):   # a zero timeout raises the latter
+                    raise RecvTimeout(f"recv timed out after {timeout}s") from None
+                except OSError as exc:
+                    self.dead = True
+                    raise PeerDisconnected(f"connection failed: {exc}") from None
+                if not count:
+                    self.dead = True
+                    raise PeerDisconnected("peer closed the connection")
+                got += count
+        return buf
 
-    def send_frame(self, tag: int, payload: bytes, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def send_frame(self, tag: int, payload: bytes | memoryview,
+                   timeout: float = DEFAULT_TIMEOUT) -> None:
+        """Send header and payload in gathered writes, all within ``timeout`` seconds."""
         if self.dead:
             raise PeerDisconnected("connection already marked dead")
+        views = [memoryview(b) for b in encode_frame(tag, payload)]
+        deadline = time.monotonic() + timeout
         try:
-            self.sock.settimeout(timeout)
-            self.sock.sendall(encode_frame(tag, payload))
+            while views:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("timed out")
+                self.sock.settimeout(remaining)
+                sent = self.sock.sendmsg(views)
+                while views and sent >= len(views[0]):
+                    sent -= len(views.pop(0))
+                if views:
+                    views[0] = views[0][sent:]
         except OSError as exc:
             self.dead = True
             raise PeerDisconnected(f"send failed: {exc}") from None
 
-    def recv_frame(self, timeout: float = DEFAULT_TIMEOUT) -> tuple[int, bytes]:
+    def recv_frame(self, timeout: float = DEFAULT_TIMEOUT) -> tuple[int, bytearray]:
         if self.dead:
             raise PeerDisconnected("connection already marked dead")
         header = self._recv_exact(HEADER_SIZE, timeout)
@@ -82,8 +97,7 @@ class FramedSocket:
         except WireProtocolError:
             self.dead = True
             raise
-        payload = self._recv_exact(length, timeout) if length else b""
-        return tag, payload
+        return tag, self._recv_exact(length, timeout)
 
 
 class TcpEndpoint:
@@ -124,7 +138,7 @@ class TcpEndpoint:
             raise ValueError(f"no connection to rank {src}") from None
         try:
             got_tag, payload = conn.recv_frame(self.timeout if timeout is None else timeout)
-        except (PeerDisconnected, RecvTimeout) as exc:
+        except CommunicationError as exc:
             exc.rank = src
             raise
         if got_tag != tag:
@@ -136,7 +150,7 @@ class TcpEndpoint:
     def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
         """Send ``payload`` to ``dst`` while receiving the ``src`` message with the same tag.
 
-        ``sendall`` blocks once the socket buffers fill, so the send runs on a
+        A send blocks once the socket buffers fill, so the send runs on a
         helper thread: two ranks sending large segments to each other would
         otherwise wait on each other forever. A failed receive re-raises at
         once, without waiting for the send.

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -8,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from ringtrain.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, main
+from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VARS, main
 from ringtrain.engine import TrainingConfig
 from ringtrain.preset import preset_path
-from ringtrain.transport.tcp import tcp_probe_server
+from ringtrain.transport.frame import FRAME_MAGIC
+from ringtrain.transport.tcp import FramedSocket, tcp_probe_server
 
 
 def run_cli(*argv):
@@ -100,8 +104,9 @@ class FakeWorker:
     """Stands in for a worker process and starts none: rank 1 exits with code 2
     at once, rank 0 runs until it is terminated."""
 
-    def __init__(self, cmd):
+    def __init__(self, cmd, env=None):
         self.returncode = 2 if cmd[cmd.index("--rank") + 1] == "1" else None
+        self.env = env
         self.stopped = threading.Event()
 
     def poll(self):
@@ -131,6 +136,79 @@ def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, cap
     assert time.perf_counter() - t0 < 1.5   # rank 0 alone would hold it 2 s, rendezvous 5 s
     assert code == 2
     assert "worker rank 1 exited with code 2" in capsys.readouterr().err
+
+
+def _cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}],
+                         ids=["unset", "user-set"])
+def test_launch_gives_each_worker_its_share_of_the_cores(preset, tmp_path, monkeypatch, capsys):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in preset.items():
+        monkeypatch.setenv(var, value)
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+    started = []
+
+    def popen(cmd, env=None):
+        started.append(FakeWorker(cmd, env=env))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    run_cli("launch", "--workers", "2", "--config", str(cfg_path),
+            "--out", str(tmp_path / "out"), "--timeout", "5")
+    # a value already set wins; the others get max(1, cores // K)
+    expected = {var: preset.get(var, str(max(1, _cores() // 2))) for var in THREAD_VARS}
+    assert len(started) == 2
+    for worker in started:
+        assert {var: worker.env[var] for var in THREAD_VARS} == expected
+
+
+def test_launch_manifest_records_the_worker_thread_counts(tmp_path, monkeypatch, capsys):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "5")
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=8, per_device_batch=8, workers=1,
+                   iterations=1, seed=0).to_json(cfg_path)
+    out = tmp_path / "run"
+    assert run_cli("launch", "--workers", "1", "--config", str(cfg_path),
+                   "--out", str(out)) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    share = str(_cores())
+    assert manifest["worker_threads"] == {"OPENBLAS_NUM_THREADS": share,
+                                          "OMP_NUM_THREADS": share,
+                                          "MKL_NUM_THREADS": "5"}
+
+
+def test_worker_exits_3_on_an_oversized_frame_length(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+    coordinator = socket.create_server(("127.0.0.1", 0))
+    host, port = coordinator.getsockname()
+
+    def corrupt_table():
+        # take the registration, then answer with a header that claims 4 GiB
+        with coordinator, coordinator.accept()[0] as sock:
+            FramedSocket(sock).recv_frame(5.0)
+            sock.sendall(FRAME_MAGIC + struct.pack(">II", 0xFFFF0002, 0xFFFFFFFF))
+            sock.recv(1)   # hold the connection until the worker closes it
+
+    server = threading.Thread(target=corrupt_table)
+    server.start()
+    t0 = time.perf_counter()
+    code = run_cli("worker", "--rank", "0", "--size", "2", "--coordinator", f"{host}:{port}",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--timeout", "5")
+    server.join(timeout=5.0)
+    assert not server.is_alive()
+    assert time.perf_counter() - t0 < 2.0
+    assert code == EXIT_COMM
+    assert "exceeds" in capsys.readouterr().err
 
 
 def test_launch_k1_equals_direct_training(tmp_path, capsys):

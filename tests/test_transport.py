@@ -2,8 +2,10 @@ import gc
 import hashlib
 import json
 import socket
+import struct
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
@@ -13,8 +15,8 @@ import pytest
 from ringtrain.collectives import CommGroup, ring_allreduce, tree_allreduce
 from ringtrain.errors import (PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch,
                               WireProtocolError)
-from ringtrain.transport.frame import (FRAME_MAGIC, decode_header, encode_frame,
-                                       floats_to_wire, wire_to_floats)
+from ringtrain.transport.frame import (FRAME_MAGIC, MAX_PAYLOAD_BYTES, decode_header,
+                                       encode_frame, floats_to_wire, wire_to_floats)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
 from ringtrain.transport.sim import SimCluster, sim_probe_bandwidth
 from ringtrain.transport.tcp import (TAG_HELLO, TAG_REGISTER, TAG_TABLE, Coordinator,
@@ -36,7 +38,7 @@ def socket_pair():
 
 class TestFrame:
     def test_header_roundtrip(self):
-        frame = encode_frame(7, b"abc")
+        frame = b"".join(encode_frame(7, b"abc"))
         assert frame[:4] == FRAME_MAGIC == b"\x52\x54\x52\x4e"
         tag, length = decode_header(frame[:12])
         assert (tag, length) == (7, 3)
@@ -82,6 +84,59 @@ class TestFramedTcp:
         assert b.dead
         with pytest.raises(PeerDisconnected):
             b.recv_frame()
+        a.close(), b.close()
+
+    def test_gathered_send_puts_the_documented_bytes_on_the_wire(self):
+        a, b = socket_pair()
+        payload = np.array([1.0, -2.5, 3.25], dtype=np.float32)
+        a.send_frame(0x01020304, floats_to_wire(payload))
+        expected = b"RTRN" + bytes([1, 2, 3, 4, 0, 0, 0, 12]) + payload.astype("<f4").tobytes()
+        b.sock.settimeout(5.0)
+        raw = b""
+        while len(raw) < len(expected):
+            raw += b.sock.recv(64)
+        assert raw == expected
+        a.close(), b.close()
+
+    def test_oversized_length_is_rejected_without_allocating(self):
+        a, b = socket_pair()
+        a.sock.sendall(FRAME_MAGIC + struct.pack(">II", 7, 0xFFFFFFFF))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(WireProtocolError):
+                b.recv_frame(timeout=5.0)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 4 * 2 ** 20
+        assert b.dead
+        a.close(), b.close()
+
+    @pytest.mark.parametrize("header", [
+        b"JUNK" + bytes(8),
+        FRAME_MAGIC + struct.pack(">II", 7, MAX_PAYLOAD_BYTES + 1),
+    ], ids=["bad-magic", "oversized-length"])
+    def test_corrupt_frame_names_the_sending_rank(self, header):
+        a, b = socket_pair()
+        endpoint = TcpEndpoint(0, 2, {1: a})
+        b.sock.sendall(header)
+        with pytest.raises(WireProtocolError) as info:
+            endpoint.recv(1, 7, timeout=5.0)
+        assert info.value.rank == 1
+        a.close(), b.close()
+
+    def test_strided_array_arrives_bit_exact(self):
+        a, b = socket_pair()
+        endpoint = TcpEndpoint(0, 2, {1: a})
+        payload = np.random.default_rng(4).normal(size=301).astype(np.float32)[::3]
+        assert not payload.flags.c_contiguous
+        endpoint.send(1, 9, payload)
+        tag, data = b.recv_frame(timeout=5.0)
+        assert tag == 9
+        assert wire_to_floats(data).tobytes() == payload.tobytes()
         a.close(), b.close()
 
     def test_recv_timeout(self):
