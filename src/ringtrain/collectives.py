@@ -99,20 +99,25 @@ def unpack(buf: FlatBuffer) -> list[np.ndarray]:
     return [piece.reshape(shape).copy() for piece, shape in zip(pieces, buf.shapes)]
 
 
-def segment_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    """Split n elements into k ring segments.
+def segment_size(n: int, k: int, seg):
+    """Elements in ring segment ``seg`` (an int or an int array) of n split k ways.
 
     Segment s gets ceil(n/k) elements when s < n mod k, floor(n/k) otherwise;
     zero-length segments are legal when n < k. No padding, so byte counts on
     the wire stay faithful.
     """
     base, rem = divmod(n, k)
+    return base + (seg < rem)
+
+
+def segment_bounds(n: int, k: int) -> list[tuple[int, int]]:
+    """``(start, end)`` of each of the k ring segments of n elements, in order."""
     bounds = []
     start = 0
     for s in range(k):
-        size = base + (1 if s < rem else 0)
-        bounds.append((start, start + size))
-        start += size
+        end = start + segment_size(n, k, s)
+        bounds.append((start, end))
+        start = end
     return bounds
 
 

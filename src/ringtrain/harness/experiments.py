@@ -119,6 +119,8 @@ def run_scaling_experiment(model: str, batch: int, k_list: list[int],
     """Fixed global batch, growing worker count: compute shrinks, comm does not."""
     profile = build_profile(model)
     for k in k_list:
+        if k < 1:
+            raise ValueError("k must be >= 1")
         if batch % k:
             raise ValueError(f"global batch {batch} not divisible by K={k}")
     rows = []

@@ -255,6 +255,35 @@ def test_default_sim_csv_is_unchanged(experiment, tmp_path, monkeypatch, capsys)
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == DEFAULT_SIM_DIGESTS[experiment]
 
 
+# sha256 of each default `ringtrain sim --net wifi5` CSV, recorded before the
+# cost model priced each schedule with one array call. wifi5 jitters every
+# non-empty message, so these digests pin the number and order of the draws.
+WIFI5_SIM_DIGESTS = {
+    "scaling": "9cd9fafe9842791a64e8b749c9ca81261b9e0158c52aeadf2ce3d9c5bdc911ff",
+    "collective": "f014dc8e2fbd2f31492df738bcd853d47bfba6fe6cc4377e7b01b0b730fc9465",
+    "aggregation": "d29751ffccb85f8b2e7e76b930ab7ac1f119616344e666c30afc3e3ab42096f0",
+    "efficiency": "4f7d519762ab7b623d73847b7ee51f50dce11d4ab0996a431504a78aea785a4e",
+    "rar-vs-tree": "b06abcc201c3be29b6caaef9c8feafb62fe425d0aefa4464e5bd8e395850e802",
+    "thermal": "1b43649d9a3b85b956b4c5773f200175d9fe16566af43c524c00e61195b9e580",
+}
+
+
+@pytest.mark.parametrize("experiment", list(WIFI5_SIM_DIGESTS))
+def test_wifi5_sim_csv_is_unchanged(experiment, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RINGTRAIN_SEED", raising=False)
+    assert run_cli("sim", experiment, "--net", "wifi5", "--out", str(tmp_path)) == EXIT_OK
+    csv = tmp_path / f"{experiment.replace('-', '_')}.csv"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == WIFI5_SIM_DIGESTS[experiment]
+
+
+@pytest.mark.parametrize("k", ["0", "0,2", "-3"])
+@pytest.mark.parametrize("experiment", ["scaling", "collective", "aggregation",
+                                        "efficiency", "rar-vs-tree"])
+def test_sim_with_fewer_than_one_worker_exits_2(experiment, k, tmp_path, capsys):
+    assert run_cli("sim", experiment, f"--k={k}", "--out", str(tmp_path)) == EXIT_USAGE
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
 def test_probe_sim_reports_profile_rate(capsys):
     assert run_cli("probe", "--sim", "ethernet", "--seconds", "2",
                    "--repeat", "3") == EXIT_OK

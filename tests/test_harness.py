@@ -1,9 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringtrain.collectives import CommGroup, ring_allreduce
+from ringtrain.collectives import CommGroup, ring_allreduce, ring_steps, segment_bounds
 from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.errors import AssertionFailure
 from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_time,
@@ -132,6 +135,79 @@ class TestCostModel:
         wifi = load_net("wifi5")
         rng = np.random.default_rng(wifi.seed)
         assert ring_comm_time(10_000, 8, wifi) == ring_comm_time(10_000, 8, wifi, rng)
+
+
+def _message_time(nbytes, k, net, rng):
+    """One message priced on its own: one jitter draw when it carries bytes."""
+    if nbytes == 0:
+        return net.latency
+    t_bw = nbytes * 8.0 / (1e6 * net.effective_bandwidth(k))
+    if net.jitter_frac > 0:
+        sigma = net.jitter_frac
+        t_bw *= float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+    return net.latency + t_bw
+
+
+def _ring_walk(n_elems, k, net, rng):
+    """Rank 0's receives priced one message at a time, summed in order."""
+    if k == 1:
+        return 0.0
+    bounds = segment_bounds(n_elems, k)
+    total = 0.0
+    for _, recv_seg, _ in ring_steps(0, k):
+        lo, hi = bounds[recv_seg]
+        total += _message_time((hi - lo) * FLOAT_BYTES, k, net, rng)
+    return total
+
+
+def _tree_walk(n_bytes, k, net, segment_bytes, rng):
+    """The pipelined tree's slots priced one message at a time, summed in order."""
+    if k == 1:
+        return 0.0
+    depth = max(1, math.ceil(math.log2(k)))
+    full, last = divmod(n_bytes, segment_bytes)
+    segments = [segment_bytes] * full + ([last] if last else ([0] if n_bytes == 0 else []))
+    total = 0.0
+    for _direction in range(2):
+        for seg in segments:
+            total += _message_time(seg, k, net, rng)
+        for _ in range(depth - 1):
+            total += _message_time(min(segment_bytes, n_bytes), k, net, rng)
+    return total
+
+
+NETS = st.sampled_from([load_net("ethernet"), load_net("wifi5")])
+SEGMENT = COMPUTE.tree_segment_bytes
+
+
+@st.composite
+def ring_sizes(draw):
+    k = draw(st.integers(1, 64))
+    # up to a few elements per rank, so that zero-length segments occur, or large
+    return k, draw(st.one_of(st.integers(0, 4 * k), st.integers(10 ** 5, 10 ** 8)))
+
+
+class TestArrayPricingMatchesScalarWalk:
+    """One array call per schedule gives the per-message walk's time and draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_sizes(), NETS, st.integers(0, 2 ** 32 - 1))
+    def test_ring(self, k_n, net, seed):
+        k, n = k_n
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert ring_comm_time(n, k, net, rng) == _ring_walk(n, k, net, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64),
+           st.one_of(st.just(0), st.integers(1, SEGMENT - 1), st.just(SEGMENT),
+                     st.integers(SEGMENT + 1, 40 * SEGMENT)),
+           NETS, st.integers(0, 2 ** 32 - 1))
+    def test_tree(self, k, n_bytes, net, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (tree_comm_time(n_bytes, k, net, SEGMENT, rng)
+                == _tree_walk(n_bytes, k, net, SEGMENT, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSimMatchesCostModel:

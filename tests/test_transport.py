@@ -416,6 +416,29 @@ class TestSimTransferTime:
         with pytest.raises(ValueError):
             sim_transfer_time(1000, 8, prof)
 
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_negative_entry_anywhere_in_an_array_rejected(self, where):
+        sizes = np.array([5, 0, 7, 9, 1, 0, 2])
+        sizes[where] = -1
+        with pytest.raises(ValueError):
+            sim_transfer_time(sizes, 4, ETH)
+
+    def test_jittered_array_without_generator_rejected(self):
+        prof = NetProfile(base_bandwidth=100.0, latency=0.007, jitter_frac=0.9, seed=1)
+        with pytest.raises(ValueError):
+            sim_transfer_time(np.array([0, 0, 1000]), 8, prof)
+
+    def test_all_zero_jittered_array_needs_no_generator(self):
+        prof = NetProfile(base_bandwidth=100.0, latency=0.007, jitter_frac=0.9, seed=1)
+        assert sim_transfer_time(np.zeros(5, np.int64), 8, prof).tolist() == [0.007] * 5
+
+    @pytest.mark.parametrize("nbytes", [0, 10_000])
+    def test_a_count_is_priced_as_a_python_float(self, nbytes):
+        # report rows and the metrics CSV write times with repr
+        jittered = NetProfile(base_bandwidth=400.0, latency=1e-3, jitter_frac=0.25, seed=11)
+        assert type(sim_transfer_time(nbytes, 4, jittered, np.random.default_rng(0))) is float
+        assert type(sim_transfer_time(nbytes, 4, ETH)) is float
+
     def test_closed_form_without_jitter(self):
         t = sim_transfer_time(1_000_000, 2, ETH)
         assert t == pytest.approx(1e-4 + 8e6 / (1e6 * 940.0))
