@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import TrainingConfig, run_training, write_metrics_csv
+from .engine import TrainingConfig, Worker, write_metrics_csv
 from .errors import AssertionFailure, CommunicationError
 from .harness import (run_aggregation_comparison, run_collective_bench,
                       run_efficiency_sweep, run_rar_vs_tree,
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--server", action="store_true")
     mode.add_argument("--client", type=_parse_host_port)
-    mode.add_argument("--sim", metavar="NET", help="closed-form probe of a net preset")
+    mode.add_argument("--sim", metavar="NET", help="simulated probe of a net preset")
     p.add_argument("--bind", type=_parse_host_port, default=("127.0.0.1", 0))
     p.add_argument("--seconds", type=float, default=1.0)
     p.add_argument("--repeat", type=int, default=10)
@@ -151,12 +151,13 @@ def cmd_worker(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     endpoint = rendezvous(args.coordinator, args.rank, args.size, timeout=args.timeout)
     try:
-        metrics, model = run_training(config, endpoint)
+        worker = Worker(config, endpoint)   # the probes read the endpoint positionally
+        metrics = worker.run()
     finally:
         endpoint.close()
     write_metrics_csv(metrics, out / f"metrics_rank{args.rank}.csv")
     np.savez(out / f"weights_rank{args.rank}.npz",
-             **{f"w{i}": w for i, w in enumerate(model.weights)})
+             **{f"w{i}": w for i, w in enumerate(worker.model.weights)})
     return EXIT_OK
 
 
@@ -289,6 +290,8 @@ def cmd_probe(args) -> int:
         addr, thread = tcp_probe_server(host, port)
         print(f"probe server listening on {addr[0]}:{addr[1]}", flush=True)
         thread.join()
+        if thread.error is not None:
+            raise thread.error
         return EXIT_OK
     if args.sim:
         profile = load_net(args.sim)
@@ -334,9 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sim(args, argv)
         if args.command == "probe":
             return cmd_probe(args)
-        if args.command == "replay":
-            return cmd_replay(args)
-        parser.error(f"unknown command {args.command}")
+        return cmd_replay(args)   # add_subparsers(required=True) admits no other command
     except AssertionFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERT
@@ -346,7 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ class CommGroup:
     """A rank's membership in a collective group, bound to a transport endpoint."""
 
     endpoint: object
-    _invocations: int = field(default=0, init=False)
+    invocations: int = field(default=0, init=False)   # collective calls issued so far
 
     def __post_init__(self):
         # a ring invocation uses 2(K-1) tags; more would spill into the next block
@@ -58,45 +58,28 @@ class CommGroup:
     def size(self) -> int:
         return self.endpoint.size
 
-    @property
-    def invocations(self) -> int:
-        """How many collective calls this group has issued."""
-        return self._invocations
-
     def next_tag_block(self) -> int:
-        base = (self._invocations % (2 ** 18)) * _TAG_BLOCK
-        self._invocations += 1
+        base = (self.invocations % (2 ** 18)) * _TAG_BLOCK
+        self.invocations += 1
         return base
 
 
-@dataclass
-class FlatBuffer:
-    """All gradient chunks packed into one contiguous float32 array.
-
-    ``shapes`` lists the original chunk shapes in order, so a round trip is
-    exact.
-    """
-
-    data: np.ndarray
-    shapes: list[tuple[int, ...]]
-
-
-def pack(grads: list[np.ndarray]) -> FlatBuffer:
-    """Concatenate all chunks into a single buffer, recording their shapes."""
+def pack(grads: list[np.ndarray]) -> np.ndarray:
+    """Concatenate all chunks into one contiguous float32 array."""
     if len(grads) == 0:
         raise ValueError("cannot pack an empty gradient set")
-    flats = [np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1) for chunk in grads]
-    return FlatBuffer(np.concatenate(flats), [chunk.shape for chunk in grads])
+    return np.concatenate([np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1)
+                           for chunk in grads])
 
 
-def unpack(buf: FlatBuffer) -> list[np.ndarray]:
-    """Inverse of pack(): copies each chunk out; bit-exact round trip."""
-    sizes = [math.prod(shape) for shape in buf.shapes]
-    if sum(sizes) != buf.data.size:
+def unpack(data: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Inverse of pack(): copies each chunk of ``shapes`` out; bit-exact round trip."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != data.size:
         raise LayoutError(
-            f"shapes cover {sum(sizes)} elements but buffer holds {buf.data.size}")
-    pieces = np.split(buf.data, np.cumsum(sizes)[:-1])
-    return [piece.reshape(shape).copy() for piece, shape in zip(pieces, buf.shapes)]
+            f"shapes cover {sum(sizes)} elements but buffer holds {data.size}")
+    pieces = np.split(data, np.cumsum(sizes)[:-1])
+    return [piece.reshape(shape).copy() for piece, shape in zip(pieces, shapes)]
 
 
 def segment_size(n: int, k: int, seg):
@@ -172,11 +155,7 @@ def tree_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
     rank = group.rank
     tag0 = group.next_tag_block()
     n = out.size
-    masks = []
-    mask = 1
-    while mask < k:
-        masks.append(mask)
-        mask <<= 1
+    masks = [1 << i for i in range((k - 1).bit_length())]   # 1, 2, 4, ... below k
     levels = len(masks)
 
     # binomial reduce to rank 0; tags are keyed to the round so every rank agrees

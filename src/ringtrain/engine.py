@@ -20,7 +20,7 @@ from .collectives import (AGGREGATIONS, CommGroup, allreduce_chunkwise, pack, ri
 from .data import make_blobs
 from .errors import RingtrainError
 from .model import RealModel
-from .preset import load_compute, load_net
+from .preset import from_json_object, load_compute, load_net
 from .transport.net import NetProfile
 from .transport.sim import SimCluster
 
@@ -71,7 +71,7 @@ class TrainingConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TrainingConfig":
-        return cls(**json.loads(Path(path).read_text())).validate()
+        return from_json_object(cls, json.loads(Path(path).read_text())).validate()
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
@@ -143,13 +143,13 @@ class Worker:
         collective, packed = AGGREGATIONS[self.config.aggregation]
         if not packed:
             return allreduce_chunkwise(grads, self.group)
-        buf = pack(grads)
-        copy_time = buf.data.nbytes / self.compute.pack_bandwidth
+        data = pack(grads)
+        copy_time = data.nbytes / self.compute.pack_bandwidth
         self.endpoint.advance(copy_time)
         allreduce = ring_allreduce if collective == "ring" else tree_allreduce
-        buf.data = allreduce(buf.data, self.group)
+        data = allreduce(data, self.group)
         self.endpoint.advance(copy_time)
-        return unpack(buf)
+        return unpack(data, [g.shape for g in grads])
 
     def train_step(self, iteration: int) -> IterationMetrics:
         cfg = self.config
@@ -192,19 +192,8 @@ def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
     profile = load_net("ethernet") if profile is None else profile
     cluster = SimCluster(config.workers, replace(profile, seed=config.seed))
     workers = [Worker(config, ep) for ep in cluster.endpoints]
-
-    def task(endpoint):
-        return workers[endpoint.rank].run()
-
-    metrics = cluster.run(task)
+    metrics = cluster.run(lambda endpoint: workers[endpoint.rank].run())
     return metrics, [w.model for w in workers]
-
-
-def run_training(config: TrainingConfig, endpoint
-                 ) -> tuple[list[IterationMetrics], RealModel]:
-    """Run this rank's share of the training; returns (metrics stream, model)."""
-    worker = Worker(config, endpoint)
-    return worker.run(), worker.model
 
 
 def write_metrics_csv(metrics: list[IterationMetrics], path: str | Path) -> None:

@@ -1,6 +1,5 @@
 """Cluster simulator and experiment drivers."""
 
-from ..profiles import ComputeProfile, ThermalModel
 from .calibrate import (fit_contention_coeff, fit_invocation_overhead,
                         fit_throughput_boundary, contention_slowdown)
 from .cost import aggregation_comm_time, collective_time, ring_comm_time, tree_comm_time
@@ -11,7 +10,6 @@ from .experiments import (ExperimentReport, ReportRow, count_upward_steps,
                           simulate_iteration)
 
 __all__ = [
-    "ComputeProfile", "ThermalModel",
     "ring_comm_time", "tree_comm_time", "aggregation_comm_time", "collective_time",
     "ExperimentReport", "ReportRow", "simulate_iteration", "count_upward_steps",
     "run_scaling_experiment", "run_collective_bench", "run_aggregation_comparison",

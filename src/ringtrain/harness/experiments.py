@@ -18,7 +18,6 @@ import numpy as np
 
 from .. import __version__
 from ..collectives import AGGREGATIONS
-from ..engine import IterationMetrics
 from ..errors import AssertionFailure
 from ..profiles import (ComputeProfile, ModelProfile, ThermalModel, all_profiles,
                         build_profile)
@@ -105,13 +104,12 @@ def _meta(net: NetProfile | dict, compute: ComputeProfile | None, seed, **extra)
 
 
 def simulate_iteration(profile: ModelProfile, batch: int, compute: ComputeProfile,
-                       k: int, net: NetProfile) -> IterationMetrics:
-    """One simulated training iteration: modeled compute + the ring_packed schedule."""
+                       k: int, net: NetProfile) -> tuple[float, float]:
+    """One simulated iteration's (t_comp, t_comm): modeled compute + ring_packed."""
     if batch < 1 or k < 1:
         raise ValueError("batch and k must be >= 1")
-    t_comp = compute.compute_time(profile, batch)
-    t_comm = aggregation_comm_time(profile, k, net, compute, "ring_packed")
-    return IterationMetrics(0, 0, t_comp, t_comm, 0.0)
+    return (compute.compute_time(profile, batch),
+            aggregation_comm_time(profile, k, net, compute, "ring_packed"))
 
 
 def run_scaling_experiment(model: str, batch: int, k_list: list[int],
@@ -125,9 +123,8 @@ def run_scaling_experiment(model: str, batch: int, k_list: list[int],
             raise ValueError(f"global batch {batch} not divisible by K={k}")
     rows = []
     for k in k_list:
-        m = simulate_iteration(profile, batch // k, compute, k, net)
         rows.append(ReportRow("scaling", "sim", profile.name, k, "ring_packed",
-                              m.t_comp, m.t_comm))
+                              *simulate_iteration(profile, batch // k, compute, k, net)))
 
     by_k = {r.k: r for r in rows}
     for k in k_list:
@@ -180,9 +177,9 @@ def run_efficiency_sweep(k: int, net: NetProfile, compute: ComputeProfile) -> Ex
     """Per-model efficiency at each model's memory-maximal per-device batch."""
     rows = []
     for profile in all_profiles():
-        m = simulate_iteration(profile, profile.batch_per_device, compute, k, net)
         rows.append(ReportRow("efficiency", "sim", profile.name, k, "ring_packed",
-                              m.t_comp, m.t_comm))
+                              *simulate_iteration(profile, profile.batch_per_device,
+                                                  compute, k, net)))
     for r in rows:
         if not 0.0 < r.efficiency <= 1.0:
             raise AssertionFailure(f"{r.model}: efficiency {r.efficiency} outside (0, 1]")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 
@@ -23,12 +24,27 @@ def _resolve(name_or_path: str | Path) -> Path:
     return preset_path(str(name_or_path))
 
 
+def from_json_object(cls, data):
+    """``cls(**data)`` for parsed JSON; a ValueError names the keys that do not fit ``cls``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} config is a JSON {type(data).__name__}, not an object")
+    params = {f.name: f for f in fields(cls) if f.init}
+    unknown = sorted(data.keys() - params.keys())
+    missing = [name for name, f in params.items() if name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    problems = [f"{kind} keys {keys}" for kind, keys in
+                (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise ValueError(f"{cls.__name__} config: {', '.join(problems)}")
+    return cls(**data)
+
+
 def load_net(name_or_path: str | Path) -> NetProfile:
-    return NetProfile(**json.loads(_resolve(name_or_path).read_text()))
+    return from_json_object(NetProfile, json.loads(_resolve(name_or_path).read_text()))
 
 
 def load_compute(name_or_path: str | Path = "compute_s10") -> ComputeProfile:
-    return ComputeProfile(**json.loads(_resolve(name_or_path).read_text()))
+    return from_json_object(ComputeProfile, json.loads(_resolve(name_or_path).read_text()))
 
 
 def load_thermal(name_or_path: str | Path = "thermal_s10") -> tuple[ThermalModel, dict]:

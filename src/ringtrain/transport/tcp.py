@@ -312,7 +312,8 @@ def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.T
 
     Counts payload bytes until each END frame and acknowledges the total; the
     session ends at the END frame that says "done". Returns the bound address
-    and the serving thread (join it to block until the session finishes).
+    and the serving thread: join it to wait for the session, whose failure it
+    then holds as ``error`` (a ``CommunicationError``, or None).
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -339,10 +340,13 @@ def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.T
                             raise TagMismatch(f"probe server got tag {tag}")
                         received += len(payload)
                     fs.send_frame(TAG_PROBE_ACK, str(received).encode())
-        except (PeerDisconnected, RecvTimeout, TagMismatch, OSError):
-            pass
+        except OSError as exc:   # from accept, a timeout included
+            thread.error = CommunicationError(f"probe session failed: {exc}")
+        except CommunicationError as exc:
+            thread.error = exc
 
     thread = threading.Thread(target=run, daemon=True)
+    thread.error = None
     thread.start()
     return addr, thread
 

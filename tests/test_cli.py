@@ -15,7 +15,7 @@ from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VA
 from ringtrain.engine import TrainingConfig
 from ringtrain.preset import preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
-from ringtrain.transport.tcp import FramedSocket, tcp_probe_server
+from ringtrain.transport.tcp import TAG_PROBE_DATA, FramedSocket, tcp_probe_server
 
 
 def run_cli(*argv):
@@ -299,6 +299,37 @@ def test_probe_real_loopback(capsys):
                    "--seconds", "0.05", "--repeat", "2") == EXIT_OK
     out = capsys.readouterr().out
     assert float(out.split()[0]) > 0
+
+
+@pytest.mark.parametrize("frames", [[(7, b"")], [(TAG_PROBE_DATA, b"x" * 10)]],
+                         ids=["wrong-tag", "closed-before-end"])
+def test_probe_server_exits_3_when_its_session_fails(frames):
+    with subprocess.Popen([sys.executable, "-m", "ringtrain", "probe", "--server"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
+        fs = FramedSocket(socket.create_connection((host, int(port))))
+        for tag, payload in frames:
+            fs.send_frame(tag, payload)
+        fs.close()
+        _, err = proc.communicate(timeout=20)
+    assert proc.returncode == EXIT_COMM
+    assert "communication failure: " in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["launch", "--workers", "2", "--config"],
+     {"global_batch": 4, "per_device_batch": 2, "workers": 2, "no_such_key": 1}),
+    (["launch", "--workers", "2", "--config"], {"global_batch": 4, "per_device_batch": 2}),
+    (["worker", "--rank", "0", "--size", "2", "--coordinator", "127.0.0.1:1", "--config"],
+     [4, 2, 2]),
+    (["sim", "scaling", "--net"], {"base_bandwidth": 940.0, "latency": 1e-4, "no_such_key": 1}),
+    (["sim", "scaling", "--compute"], {"throughput": 1e8, "no_such_key": 1}),
+], ids=["launch-unknown-key", "launch-missing-workers", "worker-list", "sim-net", "sim-compute"])
+def test_config_file_with_wrong_keys_exits_2(argv, config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert "config error: " in capsys.readouterr().err
 
 
 def test_worker_rendezvous_timeout_exits_3(tmp_path):

@@ -2,10 +2,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ringtrain.collectives import (CommGroup, FlatBuffer, allreduce_chunkwise,
-                                   pack, ring_allreduce, ring_steps,
-                                   segment_bounds, tree_allreduce, unpack)
+from ringtrain.collectives import (CommGroup, allreduce_chunkwise, pack,
+                                   ring_allreduce, ring_steps, segment_bounds,
+                                   tree_allreduce, unpack)
 from ringtrain.errors import LayoutError
 from ringtrain.profiles import build_profile
 from ringtrain.transport.net import NetProfile
@@ -27,23 +29,20 @@ def sim_collective(k, make_buf, fn):
 class TestPackUnpack:
     def test_two_chunk_layout(self):
         grads = [np.array([1, 2, 3], np.float32), np.array([4, 5], np.float32)]
-        buf = pack(grads)
-        assert buf.data.tolist() == [1, 2, 3, 4, 5]
-        assert buf.shapes == [(3,), (2,)]
+        assert pack(grads).tolist() == [1, 2, 3, 4, 5]
 
     def test_single_chunk_identity(self):
         chunk = np.arange(6, dtype=np.float32).reshape(2, 3)
-        buf = pack([chunk])
-        assert (buf.data == chunk.reshape(-1)).all()
+        assert (pack([chunk]) == chunk.reshape(-1)).all()
 
     def test_googlenet_roundtrip_bitwise(self):
         profile = build_profile("GoogleNet")
         assert profile.num_chunks == 116
         rng = np.random.default_rng(0)
         grads = [rng.normal(size=n).astype(np.float32) for n in profile.chunk_elems]
-        buf = pack(grads)
-        assert buf.data.size == sum(profile.chunk_elems)
-        back = unpack(buf)
+        data = pack(grads)
+        assert data.size == sum(profile.chunk_elems)
+        back = unpack(data, [g.shape for g in grads])
         assert len(back) == 116
         for a, b in zip(grads, back):
             assert (a == b).all()
@@ -51,13 +50,31 @@ class TestPackUnpack:
     def test_corrupt_layout_rejected(self):
         # shapes that cover more, or fewer, elements than the buffer holds
         with pytest.raises(LayoutError):
-            unpack(FlatBuffer(np.zeros(5, np.float32), [(3,), (3,)]))
+            unpack(np.zeros(5, np.float32), [(3,), (3,)])
         with pytest.raises(LayoutError):
-            unpack(FlatBuffer(np.zeros(5, np.float32), [(3,)]))
+            unpack(np.zeros(5, np.float32), [(3,)])
 
     def test_pack_rejects_empty(self):
         with pytest.raises(ValueError):
             pack([])
+
+    @given(st.lists(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
+                    .flatmap(lambda shape: hnp.arrays(np.float32, shape)),
+                    min_size=1, max_size=6))
+    def test_roundtrip_is_bytewise_and_layout_must_partition(self, grads):
+        shapes = [g.shape for g in grads]
+        data = pack(grads)
+        back = unpack(data, shapes)
+        assert [b.shape for b in back] == shapes
+        assert [b.tobytes() for b in back] == [g.tobytes() for g in grads]
+        # a layout one element too long, or one too short, does not partition the data
+        with pytest.raises(LayoutError):
+            unpack(data, shapes + [(1,)])
+        sizes = [g.size for g in grads]
+        if any(sizes):
+            i = max(j for j, n in enumerate(sizes) if n)
+            with pytest.raises(LayoutError):
+                unpack(data, shapes[:i] + [(sizes[i] - 1,)] + shapes[i + 1:])
 
 
 class TestSegments:
@@ -193,9 +210,8 @@ class TestChunkwise:
 
         def fn(group, buf, ep):
             chunked = allreduce_chunkwise([payloads[group.rank].copy()], group)
-            packed = pack([payloads[group.rank].copy()])
-            packed.data = ring_allreduce(packed.data, group)
-            return chunked[0], unpack(packed)[0]
+            packed = ring_allreduce(pack([payloads[group.rank].copy()]), group)
+            return chunked[0], unpack(packed, [(n,)])[0]
 
         for chunked, packed in sim_collective(k, lambda r: None, fn):
             assert (chunked == packed).all()

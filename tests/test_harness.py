@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from ringtrain.collectives import CommGroup, ring_allreduce, ring_steps, segment_bounds
 from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.errors import AssertionFailure
-from ringtrain.harness import (ComputeProfile, ThermalModel, aggregation_comm_time,
-                               collective_time, contention_slowdown,
-                               count_upward_steps, fit_contention_coeff,
-                               fit_invocation_overhead, fit_throughput_boundary,
-                               ring_comm_time, run_aggregation_comparison,
-                               run_collective_bench, run_efficiency_sweep,
-                               run_rar_vs_tree, run_scaling_experiment,
-                               run_thermal_scenario, simulate_iteration,
-                               tree_comm_time)
+from ringtrain.harness import (aggregation_comm_time, collective_time,
+                               contention_slowdown, count_upward_steps,
+                               fit_contention_coeff, fit_invocation_overhead,
+                               fit_throughput_boundary, ring_comm_time,
+                               run_aggregation_comparison, run_collective_bench,
+                               run_efficiency_sweep, run_rar_vs_tree,
+                               run_scaling_experiment, run_thermal_scenario,
+                               simulate_iteration, tree_comm_time)
 from ringtrain.preset import load_compute, load_net, load_thermal
-from ringtrain.profiles import FLOAT_BYTES, MB, ModelProfile, build_profile
+from ringtrain.profiles import (FLOAT_BYTES, MB, ComputeProfile, ModelProfile, ThermalModel,
+                                build_profile)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
 from ringtrain.transport.sim import SimCluster
 
@@ -258,23 +258,23 @@ class TestSimTrainingMatchesCostModel:
 
 class TestSimulateIteration:
     def test_k1_has_zero_comm(self):
-        m = simulate_iteration(build_profile("GoogleNet"), 4, COMPUTE, 1, ETH)
-        assert m.t_comm == 0.0
-        assert m.t_comp > 0.0
+        t_comp, t_comm = simulate_iteration(build_profile("GoogleNet"), 4, COMPUTE, 1, ETH)
+        assert t_comm == 0.0
+        assert t_comp > 0.0
 
     def test_doubling_throughput_halves_compute(self):
         p = build_profile("GoogleNet")
         fast = dataclasses.replace(COMPUTE, throughput=2 * COMPUTE.throughput)
-        a = simulate_iteration(p, 4, COMPUTE, 8, ETH)
-        b = simulate_iteration(p, 4, fast, 8, ETH)
-        assert b.t_comp == pytest.approx(a.t_comp / 2)
+        a_comp, _ = simulate_iteration(p, 4, COMPUTE, 8, ETH)
+        b_comp, _ = simulate_iteration(p, 4, fast, 8, ETH)
+        assert b_comp == pytest.approx(a_comp / 2)
 
     def test_k16_to_k32_monotonicities(self):
         p = build_profile("GoogleNet")
-        m16 = simulate_iteration(p, 2, COMPUTE, 16, ETH)
-        m32 = simulate_iteration(p, 1, COMPUTE, 32, ETH)
-        assert m32.t_comp == pytest.approx(m16.t_comp / 2)
-        assert m32.t_comm > m16.t_comm
+        comp16, comm16 = simulate_iteration(p, 2, COMPUTE, 16, ETH)
+        comp32, comm32 = simulate_iteration(p, 1, COMPUTE, 32, ETH)
+        assert comp32 == pytest.approx(comp16 / 2)
+        assert comm32 > comm16
 
 
 class TestScalingExperiment:
