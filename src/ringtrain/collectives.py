@@ -2,7 +2,8 @@
 
 Two algorithms with the same contract (each takes a rank's float array and
 returns a new float32 array holding the elementwise SUM over all ranks'
-arrays):
+arrays), each a message schedule (``ring_steps``, ``tree_steps``) that one
+executor runs:
 
 * ``ring_allreduce``: K-1 scatter-reduce steps then K-1 allgather steps
   around a logical ring; each rank sends exactly 2(K-1) messages of roughly
@@ -105,88 +106,78 @@ def segment_bounds(n: int, k: int) -> list[tuple[int, int]]:
 
 
 def ring_steps(rank: int, k: int):
-    """Yield rank's 2(K-1) ring steps as ``(send_seg, recv_seg, reduce)``.
+    """Yield rank's 2(K-1) ring steps as ``(tag, dst, send_seg, src, recv_seg, reduce)``.
 
     The first K-1 steps scatter-reduce (the received segment is added in);
     after them rank r owns the completed segment (r+1) mod K. The last K-1
     steps allgather (the received segment overwrites). Rank r sends to
     (r+1) mod K, so its ``send_seg`` at step i is rank r+1's ``recv_seg``.
     """
+    right, left = (rank + 1) % k, (rank - 1) % k
     for step in range(k - 1):
-        yield (rank - step) % k, (rank - step - 1) % k, True
+        yield step, right, (rank - step) % k, left, (rank - step - 1) % k, True
     for step in range(k - 1):
-        yield (rank + 1 - step) % k, (rank - step) % k, False
+        yield k - 1 + step, right, (rank + 1 - step) % k, left, (rank - step) % k, False
+
+
+def tree_steps(rank: int, k: int):
+    """Yield rank's binomial-tree steps in ``ring_steps``' form, over one whole-buffer segment.
+
+    Reduce rounds 0..L-1 add each rank's buffer into rank 0's along the
+    binomial tree; broadcast rounds L..2L-1 copy the sum back down the same
+    edges. The round is the tag; each step only sends or only receives (the
+    other side is None).
+    """
+    levels = (k - 1).bit_length()
+    for rnd in range(levels):
+        mask = 1 << rnd
+        if rank % (2 * mask) == mask:
+            yield rnd, rank - mask, 0, None, None, True
+            break
+        if rank % (2 * mask) == 0 and rank + mask < k:
+            yield rnd, None, None, rank + mask, 0, True
+    for rnd in range(levels):
+        mask = 1 << (levels - 1 - rnd)
+        if rank % (2 * mask) == 0 and rank + mask < k:
+            yield levels + rnd, rank + mask, 0, None, None, False
+        elif rank % (2 * mask) == mask:
+            yield levels + rnd, None, None, rank - mask, 0, False
+
+
+def _allreduce(data: np.ndarray, group: CommGroup, steps, n_segments: int) -> np.ndarray:
+    """Run this rank's ``steps`` over ``data`` cut into ``n_segments``; returns a new array."""
+    out = data.astype(np.float32, copy=True)
+    if group.size == 1:
+        return out
+    ep = group.endpoint
+    tag0 = group.next_tag_block()
+    bounds = segment_bounds(out.size, n_segments)
+    for tag, dst, send_seg, src, recv_seg, reduce in steps:
+        if src is None:
+            ep.send(dst, tag0 + tag, out[slice(*bounds[send_seg])])
+            continue
+        incoming = (ep.recv(src, tag0 + tag) if dst is None else
+                    ep.sendrecv(dst, src, tag0 + tag, out[slice(*bounds[send_seg])]))
+        lo, hi = bounds[recv_seg]
+        if incoming.size != hi - lo:
+            raise ProtocolError(
+                f"rank {group.rank}: segment {recv_seg} from rank {src} arrived with "
+                f"{incoming.size} elements, expected {hi - lo}", rank=src)
+        if reduce:
+            out[lo:hi] += incoming
+        else:
+            out[lo:hi] = incoming   # a TCP payload views its frame's buffer; the result is out
+    return out
 
 
 def ring_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
     """Elementwise sum of equal-length arrays across all ranks (ring)."""
-    k = group.size
-    out = data.astype(np.float32, copy=True)
-    if k == 1:
-        return out
-    ep = group.endpoint
-    rank = group.rank
-    tag0 = group.next_tag_block()
-    right = (rank + 1) % k
-    left = (rank - 1) % k
-    bounds = segment_bounds(out.size, k)
-    for i, (send_seg, recv_seg, reduce) in enumerate(ring_steps(rank, k)):
-        lo, hi = bounds[send_seg]
-        incoming = ep.sendrecv(right, left, tag0 + i, out[lo:hi])
-        lo, hi = bounds[recv_seg]
-        if incoming.size != hi - lo:
-            raise ProtocolError(
-                f"rank {rank}: segment {recv_seg} arrived with {incoming.size} "
-                f"elements, expected {hi - lo}")
-        if reduce:
-            out[lo:hi] += incoming
-        else:
-            out[lo:hi] = incoming
-    return out
+    return _allreduce(data, group, ring_steps(group.rank, group.size), group.size)
 
 
 def tree_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
     """Elementwise sum across all ranks via binomial reduce + broadcast."""
-    k = group.size
-    out = data.astype(np.float32, copy=True)
-    if k == 1:
-        return out
-    ep = group.endpoint
-    rank = group.rank
-    tag0 = group.next_tag_block()
-    n = out.size
-    masks = [1 << i for i in range((k - 1).bit_length())]   # 1, 2, 4, ... below k
-    levels = len(masks)
-
-    # binomial reduce to rank 0; tags are keyed to the round so every rank agrees
-    for rnd, mask in enumerate(masks):
-        if rank % (2 * mask) == mask:
-            ep.send(rank - mask, tag0 + rnd, out)
-            break
-        partner = rank + mask
-        if rank % (2 * mask) == 0 and partner < k:
-            incoming = ep.recv(partner, tag0 + rnd)
-            if incoming.size != n:
-                raise ProtocolError(
-                    f"rank {rank}: reduce payload of {incoming.size} elements, "
-                    f"expected {n}")
-            out += incoming
-
-    # binomial broadcast from rank 0, mirroring the reduce rounds
-    for rnd, mask in enumerate(reversed(masks)):
-        tag = tag0 + levels + rnd
-        if rank % (2 * mask) == 0:
-            partner = rank + mask
-            if partner < k:
-                ep.send(partner, tag, out)
-        elif rank % (2 * mask) == mask:
-            incoming = ep.recv(rank - mask, tag)
-            if incoming.size != n:
-                raise ProtocolError(
-                    f"rank {rank}: broadcast payload of {incoming.size} elements, "
-                    f"expected {n}")
-            out[:] = incoming   # a TCP payload views its frame's buffer; the result is out
-    return out
+    return _allreduce(data, group, tree_steps(group.rank, group.size), 1)
 
 
 def allreduce_chunkwise(grads: list[np.ndarray], group: CommGroup) -> list[np.ndarray]:

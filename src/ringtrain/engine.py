@@ -18,7 +18,7 @@ import numpy as np
 from .collectives import (AGGREGATIONS, CommGroup, allreduce_chunkwise, pack, ring_allreduce,
                           tree_allreduce, unpack)
 from .data import make_blobs
-from .errors import RingtrainError
+from .errors import CommunicationError, RingtrainError
 from .model import RealModel
 from .preset import from_json_object, load_compute, load_net
 from .transport.net import NetProfile
@@ -168,9 +168,10 @@ class Worker:
             summed = self._aggregate(grads)
             t_comp, t_comm = t1 - t0, self.endpoint.clock - t1
         except Exception as exc:
-            raise TrainingError(
-                f"rank {rank} failed during {phase} at iteration {iteration}: {exc}"
-            ) from exc
+            message = f"rank {rank} failed during {phase} at iteration {iteration}: {exc}"
+            if isinstance(exc, CommunicationError):   # keeps its exit code and the failed peer
+                raise type(exc)(message, rank=exc.rank) from exc
+            raise TrainingError(message) from exc
 
         mean = [c / cfg.workers for c in summed]
         self.last_local_grads = grads

@@ -33,7 +33,7 @@ def _schedule(collective: str, k: int, segment_bytes: int | None):
     if k < 1:
         raise ValueError("k must be >= 1")
     if collective == "ring":
-        order = np.array([recv for _, recv, _ in ring_steps(0, k)], dtype=np.int64)
+        order = np.array([recv for *_, recv, _ in ring_steps(0, k)], dtype=np.int64)
         return lambda n_bytes: segment_size(n_bytes // FLOAT_BYTES, k, order) * FLOAT_BYTES
     if collective == "tree":
         depth = max(1, math.ceil(math.log2(k)))

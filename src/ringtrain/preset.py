@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -47,12 +47,17 @@ def load_compute(name_or_path: str | Path = "compute_s10") -> ComputeProfile:
     return from_json_object(ComputeProfile, json.loads(_resolve(name_or_path).read_text()))
 
 
+@dataclass(kw_only=True)
+class ThermalPreset(ThermalModel):
+    """A thermal preset file: the model's fields and the scenario's defaults."""
+
+    baseline_t_comp_s: float
+    idle_s: float
+    fan_cool_multiplier: float
+
+
 def load_thermal(name_or_path: str | Path = "thermal_s10") -> tuple[ThermalModel, dict]:
     """Returns (ThermalModel, scenario defaults such as baseline/idle/fan)."""
-    data = json.loads(_resolve(name_or_path).read_text())
-    model = ThermalModel(ambient=data["ambient"], heat_rate=data["heat_rate"],
-                         cool_rate=data["cool_rate"],
-                         tiers=[tuple(t) for t in data["tiers"]])
-    scenario = {k: v for k, v in data.items()
-                if k in ("baseline_t_comp_s", "idle_s", "fan_cool_multiplier")}
-    return model, scenario
+    values = asdict(from_json_object(ThermalPreset, json.loads(_resolve(name_or_path).read_text())))
+    scenario = {f.name: values.pop(f.name) for f in fields(ThermalPreset) if f.kw_only}
+    return ThermalModel(**values), scenario

@@ -15,7 +15,8 @@ from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VA
 from ringtrain.engine import TrainingConfig
 from ringtrain.preset import preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
-from ringtrain.transport.tcp import TAG_PROBE_DATA, FramedSocket, tcp_probe_server
+from ringtrain.transport.tcp import (TAG_PROBE_DATA, Coordinator, FramedSocket, rendezvous,
+                                     tcp_probe_server)
 
 
 def run_cli(*argv):
@@ -316,6 +317,9 @@ def test_probe_server_exits_3_when_its_session_fails(frames):
     assert "communication failure: " in err
 
 
+THERMAL = json.loads(preset_path("thermal_s10").read_text())
+
+
 @pytest.mark.parametrize("argv,config", [
     (["launch", "--workers", "2", "--config"],
      {"global_batch": 4, "per_device_batch": 2, "workers": 2, "no_such_key": 1}),
@@ -324,7 +328,12 @@ def test_probe_server_exits_3_when_its_session_fails(frames):
      [4, 2, 2]),
     (["sim", "scaling", "--net"], {"base_bandwidth": 940.0, "latency": 1e-4, "no_such_key": 1}),
     (["sim", "scaling", "--compute"], {"throughput": 1e8, "no_such_key": 1}),
-], ids=["launch-unknown-key", "launch-missing-workers", "worker-list", "sim-net", "sim-compute"])
+    (["sim", "thermal", "--thermal"], [25.0, 0.1, 0.05]),
+    (["sim", "thermal", "--thermal"],
+     {**{k: v for k, v in THERMAL.items() if k != "idle_s"}, "idle_seconds": 5.0}),
+    (["sim", "thermal", "--thermal"], {**THERMAL, "no_such_key": 1}),
+], ids=["launch-unknown-key", "launch-missing-workers", "worker-list", "sim-net", "sim-compute",
+        "thermal-list", "thermal-renamed-key", "thermal-unknown-key"])
 def test_config_file_with_wrong_keys_exits_2(argv, config, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -343,6 +352,26 @@ def test_worker_rendezvous_timeout_exits_3(tmp_path):
          "--out", str(tmp_path), "--timeout", "1"],
         capture_output=True, timeout=60)
     assert proc.returncode == 3
+
+
+def test_peer_failing_mid_training_exits_3(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+    coord = Coordinator("127.0.0.1", 0, 2, timeout=10)
+    coord.start()
+    host, port = coord.address
+    with subprocess.Popen(
+            [sys.executable, "-m", "ringtrain", "worker", "--rank", "0", "--size", "2",
+             "--coordinator", f"{host}:{port}", "--config", str(cfg_path),
+             "--out", str(tmp_path), "--timeout", "10"],
+            stderr=subprocess.PIPE, text=True) as proc:
+        # rank 1 joins the mesh and then fails before its first message
+        rendezvous(coord.address, 1, 2, timeout=10).close()
+        _, err = proc.communicate(timeout=10)
+    coord.join()
+    assert proc.returncode == EXIT_COMM
+    assert "communication failure: rank 0 failed during aggregate at iteration 0" in err
 
 
 def test_terminating_launcher_terminates_workers(tmp_path):

@@ -2,13 +2,13 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ringtrain.collectives import (CommGroup, allreduce_chunkwise, pack,
                                    ring_allreduce, ring_steps, segment_bounds,
-                                   tree_allreduce, unpack)
-from ringtrain.errors import LayoutError
+                                   tree_allreduce, tree_steps, unpack)
+from ringtrain.errors import CommunicationError, LayoutError, ProtocolError
 from ringtrain.profiles import build_profile
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
@@ -93,13 +93,36 @@ def test_ring_steps_form_one_consistent_schedule():
         for r in range(k):
             mine, right = steps[r], steps[(r + 1) % k]
             # what rank r sends at step i is what its right neighbour receives
-            assert [send for send, _, _ in mine] == [recv for _, recv, _ in right]
-            assert [red for _, _, red in mine] == [True] * (k - 1) + [False] * (k - 1)
-            scatter = [recv for _, recv, red in mine if red]
-            gather = [recv for _, recv, red in mine if not red]
+            assert [send for _, _, send, _, _, _ in mine] == [recv for *_, recv, _ in right]
+            assert [red for *_, red in mine] == [True] * (k - 1) + [False] * (k - 1)
+            scatter = [recv for *_, recv, red in mine if red]
+            gather = [recv for *_, recv, red in mine if not red]
             assert sorted(scatter) == [s for s in range(k) if s != r]
             # after scatter-reduce rank r owns (r+1) mod K and gathers the rest
             assert sorted(gather) == [s for s in range(k) if s != (r + 1) % k]
+
+
+def test_tree_steps_form_one_consistent_schedule():
+    for k in range(1, 130):
+        levels = (k - 1).bit_length()
+        steps = {r: list(tree_steps(r, k)) for r in range(k)}
+        sends = sorted((r, dst, tag) for r in range(k)
+                       for tag, dst, _, src, _, _ in steps[r] if dst is not None)
+        recvs = sorted((src, r, tag) for r in range(k)
+                       for tag, dst, _, src, _, _ in steps[r] if src is not None)
+        # every send meets exactly one receive with its tag, and no step does both
+        assert sends == recvs and len(set(sends)) == len(sends) == 2 * (k - 1)
+        assert all((dst is None) != (src is None) for r in range(k)
+                   for _, dst, _, src, _, _ in steps[r])
+        assert all(tag < 2 * levels for *_, tag in sends)
+        # walking the rounds in tag order leaves every rank holding every contribution
+        held = [{r} for r in range(k)]
+        for tag in range(2 * levels):
+            arrivals = [(r, held[src], reduce) for r in range(k)
+                        for t, _, _, src, _, reduce in steps[r] if t == tag and src is not None]
+            for r, incoming, reduce in arrivals:
+                held[r] = held[r] | incoming if reduce else set(incoming)
+        assert held == [set(range(k))] * k
 
 
 @pytest.mark.parametrize("alg", [ring_allreduce, tree_allreduce])
@@ -134,6 +157,49 @@ def test_allreduce_exact_on_integer_payloads(alg, k):
 
     for out in sim_collective(k, lambda r: payloads[r].copy(), fn):
         assert (out == central).all()
+
+
+ALGS = st.sampled_from([ring_allreduce, tree_allreduce])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ALGS, st.integers(1, 5), st.integers(0, 70), st.integers(0, 2 ** 32 - 1))
+def test_allreduce_sums_integers_exactly_and_leaves_input_alone(alg, k, n, seed):
+    ints = np.random.default_rng(seed).integers(-2 ** 10, 2 ** 10, size=(k, n))
+    inputs = [row.astype(np.float32) for row in ints]
+
+    def fn(group, buf, ep):
+        return alg(buf, group)
+
+    results = sim_collective(k, lambda r: inputs[r], fn)
+    for row, buf in zip(ints, inputs):
+        assert (buf == row).all()
+    for out in results:
+        assert out.dtype == np.float32 and out.flags.writeable
+        assert (out == ints.sum(axis=0)).all()
+        assert out.tobytes() == results[0].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGS, st.integers(2, 5), st.integers(1, 70), st.data())
+def test_length_mismatch_names_the_sender(alg, k, n, data):
+    short = data.draw(st.integers(0, k - 1))   # the one rank that holds n - 1 elements
+    failures = {}
+
+    def task(ep):
+        try:
+            return alg(np.ones(n - (ep.rank == short), np.float32), CommGroup(ep))
+        except ProtocolError as exc:
+            failures[ep.rank] = exc
+            raise
+
+    with pytest.raises(CommunicationError):
+        SimCluster(k, NET).run(task)
+    assert failures
+    for receiver, exc in failures.items():
+        assert exc.rank is not None and exc.rank != receiver
+        assert short in (receiver, exc.rank)
+        assert f"from rank {exc.rank}" in str(exc)
 
 
 def test_all_ones_k4_gives_all_fours():

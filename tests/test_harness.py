@@ -154,7 +154,7 @@ def _ring_walk(n_elems, k, net, rng):
         return 0.0
     bounds = segment_bounds(n_elems, k)
     total = 0.0
-    for _, recv_seg, _ in ring_steps(0, k):
+    for *_, recv_seg, _ in ring_steps(0, k):
         lo, hi = bounds[recv_seg]
         total += _message_time((hi - lo) * FLOAT_BYTES, k, net, rng)
     return total
