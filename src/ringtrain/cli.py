@@ -28,7 +28,8 @@ from .harness import (run_aggregation_comparison, run_collective_bench,
                       run_scaling_experiment, run_thermal_scenario)
 from .preset import load_compute, load_net, load_thermal
 from .transport.sim import sim_probe_bandwidth
-from .transport.tcp import Coordinator, rendezvous, tcp_probe_client, tcp_probe_server
+from .transport.tcp import (DEFAULT_TIMEOUT, Coordinator, rendezvous, tcp_probe_client,
+                            tcp_probe_server)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,14 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", required=True)
     w.add_argument("--out", default=".")
     w.add_argument("--seed", type=int)
-    w.add_argument("--timeout", type=float, default=30.0)
+    w.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
 
     l = sub.add_parser("launch", help="spawn K local workers and aggregate rank 0 metrics")
     l.add_argument("--workers", type=int, required=True)
     l.add_argument("--config", required=True)
     l.add_argument("--out", required=True)
     l.add_argument("--seed", type=int)
-    l.add_argument("--timeout", type=float, default=60.0)
+    l.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
 
     s = sub.add_parser("sim", help="run a simulated experiment, write CSV + sidecar")
     s.add_argument("experiment", choices=SIM_EXPERIMENTS)
@@ -247,6 +248,9 @@ def _run_sim(args) -> tuple[list[Path], int]:
     out = Path(args.out)
 
     exp = args.experiment
+    # aggregation and efficiency run at one K; a list holding a k < 1 fails the harness's check
+    if exp in ("aggregation", "efficiency") and len(args.k or []) > 1 and min(args.k) >= 1:
+        raise ValueError(f"{exp} takes one --k value, got {','.join(map(str, args.k))}")
     if exp == "scaling":
         report = run_scaling_experiment(args.model or "GoogleNet", args.batch,
                                         args.k or [1, 2, 4, 8, 16, 32], net, compute)
@@ -257,9 +261,9 @@ def _run_sim(args) -> tuple[list[Path], int]:
                                       {args.net: net, args.net2: net2}, compute)
     elif exp == "aggregation":
         models = [args.model] if args.model else None
-        report = run_aggregation_comparison(models, (args.k or [138])[0], net, compute)
+        report = run_aggregation_comparison(models, min(args.k or [138]), net, compute)
     elif exp == "efficiency":
-        report = run_efficiency_sweep((args.k or [138])[0], net, compute)
+        report = run_efficiency_sweep(min(args.k or [138]), net, compute)
     elif exp == "rar-vs-tree":
         report = run_rar_vs_tree(args.model or "ResNet-152",
                                  args.k or [1, 2, 4, 8, 16, 32, 46], net, compute)

@@ -168,10 +168,11 @@ class Worker:
             summed = self._aggregate(grads)
             t_comp, t_comm = t1 - t0, self.endpoint.clock - t1
         except Exception as exc:
-            message = f"rank {rank} failed during {phase} at iteration {iteration}: {exc}"
+            message = f"rank {rank} failed during {phase} at iteration {iteration}"
             if isinstance(exc, CommunicationError):   # keeps its exit code and the failed peer
-                raise type(exc)(message, rank=exc.rank) from exc
-            raise TrainingError(message) from exc
+                peer = "" if exc.rank is None else f" (peer rank {exc.rank})"
+                raise type(exc)(f"{message}{peer}: {exc}", rank=exc.rank) from exc
+            raise TrainingError(f"{message}: {exc}") from exc
 
         mean = [c / cfg.workers for c in summed]
         self.last_local_grads = grads

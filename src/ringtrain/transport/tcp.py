@@ -12,7 +12,7 @@ import json
 import socket
 import threading
 import time
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 
 import numpy as np
 
@@ -31,6 +31,13 @@ TAG_PROBE_END = 0xFFFF0011
 TAG_PROBE_ACK = 0xFFFF0012
 
 
+def _until(sock: socket.socket, deadline: float) -> socket.socket:
+    """Let the next call on ``sock`` wait only for the time left before ``deadline``;
+    with none left it polls once, raising ``BlockingIOError`` if it would wait."""
+    sock.settimeout(max(0.0, deadline - time.monotonic()))
+    return sock
+
+
 class FramedSocket:
     """Blocking framed message stream over one TCP connection."""
 
@@ -41,21 +48,18 @@ class FramedSocket:
 
     def close(self) -> None:
         self.dead = True
-        try:
+        with suppress(OSError):
             self.sock.close()
-        except OSError:
-            pass
 
-    def _recv_exact(self, n: int, timeout: float) -> bytearray:
-        """Read exactly ``n`` bytes straight into one new buffer."""
-        self.sock.settimeout(timeout)
+    def _recv_exact(self, n: int, deadline: float, timeout: float) -> bytearray:
+        """Read exactly ``n`` bytes straight into one new buffer by ``deadline``."""
         buf = bytearray(n)
         got = 0
         with memoryview(buf) as view:
             while got < n:
                 try:
-                    count = self.sock.recv_into(view[got:])
-                except (socket.timeout, BlockingIOError):   # a zero timeout raises the latter
+                    count = _until(self.sock, deadline).recv_into(view[got:])
+                except (socket.timeout, BlockingIOError):
                     raise RecvTimeout(f"recv timed out after {timeout}s") from None
                 except OSError as exc:
                     self.dead = True
@@ -75,11 +79,7 @@ class FramedSocket:
         deadline = time.monotonic() + timeout
         try:
             while views:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("timed out")
-                self.sock.settimeout(remaining)
-                sent = self.sock.sendmsg(views)
+                sent = _until(self.sock, deadline).sendmsg(views)
                 while views and sent >= len(views[0]):
                     sent -= len(views.pop(0))
                 if views:
@@ -89,25 +89,29 @@ class FramedSocket:
             raise PeerDisconnected(f"send failed: {exc}") from None
 
     def recv_frame(self, timeout: float = DEFAULT_TIMEOUT) -> tuple[int, bytearray]:
+        """Receive one frame, header and payload together, within ``timeout`` seconds."""
         if self.dead:
             raise PeerDisconnected("connection already marked dead")
-        header = self._recv_exact(HEADER_SIZE, timeout)
+        deadline = time.monotonic() + timeout
+        header = self._recv_exact(HEADER_SIZE, deadline, timeout)
         try:
             tag, length = decode_header(header)
         except WireProtocolError:
             self.dead = True
             raise
-        return tag, self._recv_exact(length, timeout)
+        return tag, self._recv_exact(length, deadline, timeout)
 
 
 class TcpEndpoint:
-    """Full-mesh peer handle with SimEndpoint's surface; its clock is the wall clock."""
+    """Full-mesh peer handle with SimEndpoint's surface and the wall clock as its
+    clock; each frame sent or received must move within ``timeout`` seconds."""
 
-    def __init__(self, rank: int, size: int, conns: dict[int, FramedSocket]):
+    def __init__(self, rank: int, size: int, conns: dict[int, FramedSocket],
+                 timeout: float = DEFAULT_TIMEOUT):
         self.rank = rank
         self.size = size
         self.conns = conns
-        self.timeout = DEFAULT_TIMEOUT
+        self.timeout = timeout
         self.n_sends = 0
         self.bytes_sent = 0
 
@@ -118,33 +122,32 @@ class TcpEndpoint:
     def advance(self, seconds: float) -> None:
         """Real time passes on its own; nothing to charge."""
 
-    def send(self, dst: int, tag: int, payload: np.ndarray) -> None:
+    @contextmanager
+    def _link(self, peer: int):
+        """Yield the connection to ``peer``; a failure on it names that peer."""
         try:
-            conn = self.conns[dst]
+            conn = self.conns[peer]
         except KeyError:
-            raise ValueError(f"no connection to rank {dst}") from None
-        data = floats_to_wire(payload)
+            raise ValueError(f"no connection to rank {peer}") from None
         try:
+            yield conn
+        except CommunicationError as exc:
+            exc.rank = peer
+            raise
+
+    def send(self, dst: int, tag: int, payload: np.ndarray) -> None:
+        data = floats_to_wire(payload)
+        with self._link(dst) as conn:
             conn.send_frame(tag, data, self.timeout)
-        except PeerDisconnected as exc:
-            raise PeerDisconnected(str(exc), rank=dst) from None
         self.n_sends += 1
         self.bytes_sent += len(data)
 
     def recv(self, src: int, tag: int, timeout: float | None = None) -> np.ndarray:
-        try:
-            conn = self.conns[src]
-        except KeyError:
-            raise ValueError(f"no connection to rank {src}") from None
-        try:
+        with self._link(src) as conn:
             got_tag, payload = conn.recv_frame(self.timeout if timeout is None else timeout)
-        except CommunicationError as exc:
-            exc.rank = src
-            raise
-        if got_tag != tag:
-            raise TagMismatch(
-                f"rank {self.rank}: expected tag {tag} from rank {src}, got {got_tag}",
-                rank=src)
+            if got_tag != tag:
+                raise TagMismatch(
+                    f"rank {self.rank}: expected tag {tag} from rank {src}, got {got_tag}")
         return wire_to_floats(payload)
 
     def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
@@ -176,39 +179,65 @@ class TcpEndpoint:
             conn.close()
 
 
-class Coordinator:
+def _listen(host: str, port: int, backlog: int, timeout: float) -> socket.socket:
+    """A listening socket whose accepts wait ``timeout`` seconds."""
+    server = socket.create_server((host, port), backlog=backlog)
+    server.settimeout(timeout)
+    return server
+
+
+def _accept(server: socket.socket, message: str) -> socket.socket:
+    """Accept one connection; a timeout raises ``RecvTimeout(message)``."""
+    try:
+        return server.accept()[0]
+    except (socket.timeout, BlockingIOError):   # the latter: no time was left
+        raise RecvTimeout(message) from None
+
+
+class _ServerThread(threading.Thread):
+    """Runs the subclass's ``serve`` on a daemon thread and closes the listener
+    after it; join the thread, then read its failure from ``error`` (or None)."""
+
+    def __init__(self, server: socket.socket):
+        super().__init__(daemon=True)
+        self._server = server
+        self.address = server.getsockname()
+        self.error: Exception | None = None
+
+    def run(self) -> None:
+        try:
+            with self._server:
+                self.serve()
+        except OSError as exc:   # from the listener: a timeout is already a RecvTimeout
+            self.error = CommunicationError(f"listener {self.address} failed: {exc}")
+        except Exception as exc:  # noqa: BLE001 - surfaced to whoever joins
+            self.error = exc
+
+    def stop(self) -> None:
+        """Stop waiting for connections: an accept in progress fails at once."""
+        with suppress(OSError):   # serve has closed it already
+            self._server.shutdown(socket.SHUT_RDWR)
+
+
+class Coordinator(_ServerThread):
     """Collects worker registrations and broadcasts the address table."""
 
     def __init__(self, host: str, port: int, size: int, timeout: float = DEFAULT_TIMEOUT):
+        super().__init__(_listen(host, port, size, timeout))
         self.size = size
         self.timeout = timeout
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((host, port))
-        self._server.listen(size)
-        self.address = self._server.getsockname()
-        self._thread: threading.Thread | None = None
-        self.error: BaseException | None = None
 
     def serve(self) -> None:
-        """Accept all workers, then send everyone the rank -> address table."""
+        """Accept all workers within ``timeout``, then send everyone the rank -> address table."""
         conns: dict[int, FramedSocket] = {}
         table: dict[str, tuple[str, int]] = {}
+        deadline = time.monotonic() + self.timeout
         # every accepted socket is closed on the way out, registered or not
-        with self._server, ExitStack() as accepted:
-            self._server.settimeout(self.timeout)
-            deadline = time.monotonic() + self.timeout
+        with ExitStack() as accepted:
             while len(conns) < self.size:
-                if time.monotonic() > deadline:
-                    raise RecvTimeout(
-                        f"rendezvous timed out with {len(conns)}/{self.size} workers")
-                try:
-                    sock, _ = self._server.accept()
-                except socket.timeout:
-                    raise RecvTimeout(
-                        f"rendezvous timed out with {len(conns)}/{self.size} workers"
-                    ) from None
-                fs = FramedSocket(accepted.enter_context(sock))
+                fs = FramedSocket(accepted.enter_context(_accept(
+                    _until(self._server, deadline),
+                    f"rendezvous timed out with {len(conns)}/{self.size} workers")))
                 tag, payload = fs.recv_frame(self.timeout)
                 if tag != TAG_REGISTER:
                     raise TagMismatch(f"coordinator expected registration, got tag {tag}")
@@ -223,25 +252,6 @@ class Coordinator:
             payload = json.dumps(table).encode()
             for fs in conns.values():
                 fs.send_frame(TAG_TABLE, payload, self.timeout)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        try:
-            self.serve()
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the launcher
-            self.error = exc
-
-    def stop(self) -> None:
-        """Stop waiting for registrations: an accept in progress fails at once."""
-        with suppress(OSError):   # serve has closed it already
-            self._server.shutdown(socket.SHUT_RDWR)
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
 
 
 def _connect(address: tuple[str, int], timeout: float, what: str) -> socket.socket:
@@ -258,16 +268,13 @@ def _connect(address: tuple[str, int], timeout: float, what: str) -> socket.sock
 def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
                listen_host: str = "127.0.0.1",
                timeout: float = DEFAULT_TIMEOUT) -> TcpEndpoint:
-    """Join the group and build the full mesh; returns a ready endpoint.
+    """Join the group and build the full mesh; returns a ready endpoint whose
+    every send and receive is bounded by the same ``timeout``.
 
     The listener and the coordinator connection are closed on return; if the
     join fails, every peer connection opened so far is closed as well.
     """
-    with (socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener,
-          ExitStack() as peers):
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((listen_host, 0))
-        listener.listen(size)
+    with _listen(listen_host, 0, size, timeout) as listener, ExitStack() as peers:
         listen_addr = listener.getsockname()
 
         with _connect(coordinator, timeout, "coordinator") as coord_sock:
@@ -288,13 +295,9 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
             fs.send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode(), timeout)
             conns[peer] = fs
         # accept higher ranks
-        listener.settimeout(timeout)
         for _ in range(size - 1 - rank):
-            try:
-                peer_sock, _ = listener.accept()
-            except socket.timeout:
-                raise RecvTimeout(f"rank {rank}: timed out waiting for peers") from None
-            fs = FramedSocket(peers.enter_context(peer_sock))
+            fs = FramedSocket(peers.enter_context(
+                _accept(listener, f"rank {rank}: timed out waiting for peers")))
             hello_tag, hello = fs.recv_frame(timeout)
             if hello_tag != TAG_HELLO:
                 raise TagMismatch(f"expected hello, got tag {hello_tag}")
@@ -304,53 +307,40 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
                                     rank=peer)
             conns[peer] = fs
         peers.pop_all()
-    return TcpEndpoint(rank, size, conns)
+    return TcpEndpoint(rank, size, conns, timeout)
+
+
+class _ProbeServer(_ServerThread):
+    def serve(self) -> None:
+        """Count payload bytes until each END frame and acknowledge the total;
+        the session ends at the END frame that says "done"."""
+        with _accept(self._server, "probe server timed out waiting for a client") as sock:
+            self._server.close()   # one session: stop listening once it is accepted
+            fs = FramedSocket(sock)
+            done = False
+            while not done:
+                received = 0
+                while True:
+                    tag, payload = fs.recv_frame()
+                    if tag == TAG_PROBE_END:
+                        done = payload == b"done"
+                        break
+                    if tag != TAG_PROBE_DATA:
+                        raise TagMismatch(f"probe server got tag {tag}")
+                    received += len(payload)
+                fs.send_frame(TAG_PROBE_ACK, str(received).encode())
 
 
 def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.Thread]:
     """Serve one throughput-probe session on a background thread.
 
-    Counts payload bytes until each END frame and acknowledges the total; the
-    session ends at the END frame that says "done". Returns the bound address
-    and the serving thread: join it to wait for the session, whose failure it
-    then holds as ``error`` (a ``CommunicationError``, or None).
+    Returns the bound address and the serving thread: join it to wait for the
+    session, whose failure it then holds as ``error`` (a ``CommunicationError``,
+    or None).
     """
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(1)
-    addr = server.getsockname()
-
-    def run():
-        try:
-            with server:   # one session: stop listening once it is accepted
-                server.settimeout(DEFAULT_TIMEOUT)
-                sock = server.accept()[0]
-            with sock:
-                fs = FramedSocket(sock)
-                done = False
-                while not done:
-                    received = 0
-                    while True:
-                        tag, payload = fs.recv_frame()
-                        if tag == TAG_PROBE_END:
-                            done = payload == b"done"
-                            break
-                        if tag != TAG_PROBE_DATA:
-                            raise TagMismatch(f"probe server got tag {tag}")
-                        received += len(payload)
-                    fs.send_frame(TAG_PROBE_ACK, str(received).encode())
-        except OSError as exc:   # from accept, a timeout included
-            thread.error = CommunicationError(f"probe session failed: {exc}")
-        except CommunicationError as exc:
-            thread.error = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.error = None
+    thread = _ProbeServer(_listen(host, port, 1, DEFAULT_TIMEOUT))
     thread.start()
-    return addr, thread
-
-
+    return thread.address, thread
 def tcp_probe_client(server: tuple[str, int], seconds: float,
                      repeat: int = 10) -> list[float]:
     """Stream 1 MiB data frames to a probe server; returns Mbps per repeat."""

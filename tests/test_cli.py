@@ -285,6 +285,13 @@ def test_sim_with_fewer_than_one_worker_exits_2(experiment, k, tmp_path, capsys)
     assert "k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["aggregation", "efficiency"])
+def test_sim_at_one_k_rejects_a_list_of_k(experiment, tmp_path, capsys):
+    assert run_cli("sim", experiment, "--k", "8,16", "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: " in err and "8,16" in err
+
+
 def test_probe_sim_reports_profile_rate(capsys):
     assert run_cli("probe", "--sim", "ethernet", "--seconds", "2",
                    "--repeat", "3") == EXIT_OK
@@ -372,6 +379,35 @@ def test_peer_failing_mid_training_exits_3(tmp_path):
     coord.join()
     assert proc.returncode == EXIT_COMM
     assert "communication failure: rank 0 failed during aggregate at iteration 0" in err
+    assert "(peer rank 1)" in err
+
+
+def test_worker_with_a_silent_peer_exits_3_within_its_timeout(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+    coord = Coordinator("127.0.0.1", 0, 2, timeout=10)
+    coord.start()
+    host, port = coord.address
+    peer = None
+    with subprocess.Popen(
+            [sys.executable, "-m", "ringtrain", "worker", "--rank", "0", "--size", "2",
+             "--coordinator", f"{host}:{port}", "--config", str(cfg_path),
+             "--out", str(tmp_path), "--timeout", "2"],
+            stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            # rank 1 joins the mesh and then never sends or reads a frame
+            peer = rendezvous(coord.address, 1, 2, timeout=10)
+            _, err = proc.communicate(timeout=8)
+        finally:
+            proc.kill()
+            if peer is not None:
+                peer.close()
+    coord.join(timeout=10)
+    assert not coord.is_alive()
+    assert proc.returncode == EXIT_COMM
+    assert "communication failure: rank 0 failed during aggregate at iteration 0 " \
+           "(peer rank 1)" in err
 
 
 def test_terminating_launcher_terminates_workers(tmp_path):

@@ -145,6 +145,30 @@ class TestFramedTcp:
             b.recv_frame(timeout=0.1)
         a.close(), b.close()
 
+    def test_a_drip_fed_frame_times_out_as_a_whole(self):
+        a, b = socket_pair()
+        frame = b"".join(encode_frame(7, b""))   # a 12-byte frame, one byte per 0.2 s
+        stop = threading.Event()
+
+        def drip():
+            for byte in frame:
+                if stop.wait(0.2):
+                    return
+                a.sock.sendall(bytes([byte]))
+
+        dripper = threading.Thread(target=drip, daemon=True)
+        dripper.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(RecvTimeout):
+                b.recv_frame(timeout=0.5)
+            assert time.perf_counter() - t0 < 1.5
+        finally:
+            stop.set()
+            dripper.join(timeout=5.0)
+            a.close(), b.close()
+        assert not dripper.is_alive()
+
     def test_peer_closed(self):
         a, b = socket_pair()
         a.close()
@@ -283,6 +307,14 @@ class TestRendezvousMesh:
             rendezvous(coord.address, 0, 2, timeout=1.0)
         coord.join()
         assert isinstance(coord.error, RecvTimeout)
+
+    def test_a_coordinator_with_no_time_left_times_out(self):
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=0)
+        coord.start()
+        coord.join(timeout=5.0)
+        assert not coord.is_alive()
+        assert isinstance(coord.error, RecvTimeout)
+        assert str(coord.error) == "rendezvous timed out with 0/2 workers"
 
     def test_failed_coordinator_exchange_leaves_no_socket_open(self):
         coord = Coordinator("127.0.0.1", 0, 2, timeout=0.5)
