@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_worker(args) -> int:
     config = TrainingConfig.from_json(args.config)
-    if args.rank >= args.size or args.size != config.workers:
+    if not 0 <= args.rank < args.size or args.size != config.workers:
         print(f"rank/size {args.rank}/{args.size} inconsistent with config "
               f"workers={config.workers}", file=sys.stderr)
         return EXIT_USAGE
@@ -268,8 +268,7 @@ def _run_sim(args) -> tuple[list[Path], int]:
         report = run_rar_vs_tree(args.model or "ResNet-152",
                                  args.k or [1, 2, 4, 8, 16, 32, 46], net, compute)
     else:
-        thermal, scenario = load_thermal(args.thermal)
-        report = run_thermal_scenario(thermal, args.duration, args.fan, **scenario)
+        report = run_thermal_scenario(load_thermal(args.thermal), args.duration, args.fan)
     return list(report.write(out)), seed
 
 
@@ -289,6 +288,9 @@ def _print_rates(rates: list[float], label: str) -> None:
 
 
 def cmd_probe(args) -> int:
+    if args.repeat < 1 or args.seconds <= 0:
+        print("probe needs --repeat >= 1 and --seconds > 0", file=sys.stderr)
+        return EXIT_USAGE
     if args.server:
         host, port = args.bind
         addr, thread = tcp_probe_server(host, port)

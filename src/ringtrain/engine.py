@@ -51,6 +51,8 @@ class TrainingConfig:
     dataset_spread: float = 0.6
 
     def validate(self) -> "TrainingConfig":
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.global_batch != self.per_device_batch * self.workers:
             raise ValueError(
                 f"global_batch {self.global_batch} != per_device_batch "

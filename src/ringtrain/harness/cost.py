@@ -9,13 +9,11 @@ binomial reduce+broadcast, which is how production libraries keep
 large-message allreduce time nearly independent of the participant count.
 
 Each call draws every message's jitter from one generator seeded from
-``net.seed``. ``ring_comm_time``, ``tree_comm_time`` and ``collective_time``
-also take the caller's generator instead, so a sweep can share one.
+``net.seed``. ``collective_time`` also takes the caller's generator instead,
+so a sweep can share one.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,7 +34,7 @@ def _schedule(collective: str, k: int, segment_bytes: int | None):
         order = np.array([recv for *_, recv, _ in ring_steps(0, k)], dtype=np.int64)
         return lambda n_bytes: segment_size(n_bytes // FLOAT_BYTES, k, order) * FLOAT_BYTES
     if collective == "tree":
-        depth = max(1, math.ceil(math.log2(k)))
+        depth = max(1, (k - 1).bit_length())   # the rounds of collectives.tree_steps
 
         def tree(n_bytes: int) -> np.ndarray:
             full, last = divmod(n_bytes, segment_bytes)
@@ -55,18 +53,6 @@ def _comm_time(sizes: np.ndarray, k: int, net: NetProfile,
         return 0.0
     rng = np.random.default_rng(net.seed) if rng is None else rng
     return float(np.cumsum(sim_transfer_time(sizes, k, net, rng))[-1])
-
-
-def ring_comm_time(n_elems: int, k: int, net: NetProfile,
-                   rng: np.random.Generator | None = None) -> float:
-    """Rank-0 time for one ring allreduce of ``n_elems`` float32 elements."""
-    return _comm_time(_schedule("ring", k, None)(n_elems * FLOAT_BYTES), k, net, rng)
-
-
-def tree_comm_time(n_bytes: int, k: int, net: NetProfile, segment_bytes: int,
-                   rng: np.random.Generator | None = None) -> float:
-    """Critical-path time of a pipelined binomial reduce + broadcast."""
-    return _comm_time(_schedule("tree", k, segment_bytes)(n_bytes), k, net, rng)
 
 
 def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,

@@ -19,8 +19,8 @@ import numpy as np
 from .. import __version__
 from ..collectives import AGGREGATIONS
 from ..errors import AssertionFailure
-from ..profiles import (ComputeProfile, ModelProfile, ThermalModel, all_profiles,
-                        build_profile)
+from ..preset import ThermalPreset
+from ..profiles import ComputeProfile, ModelProfile, all_profiles, build_profile
 from ..transport.net import NetProfile
 from .cost import aggregation_comm_time, collective_time
 
@@ -38,8 +38,6 @@ GPU_REFERENCE_SPEEDUPS = {
 
 @dataclass
 class ReportRow:
-    experiment: str
-    mode: str
     model: str
     k: int
     alg: str
@@ -56,7 +54,7 @@ class ReportRow:
         return 1.0 if total <= 0.0 else self.t_comp / total
 
     def csv_row(self) -> str:
-        return (f"{self.experiment},{self.mode},{self.model},{self.k},{self.alg},"
+        return (f"{self.model},{self.k},{self.alg},"
                 f"{self.t_comp!r},{self.t_comm!r},{self.t_total!r},{self.efficiency!r}")
 
 
@@ -74,7 +72,8 @@ class ExperimentReport:
         raise KeyError(f"no row matching {match}")
 
     def to_csv(self) -> str:
-        return "\n".join([REPORT_HEADER] + [r.csv_row() for r in self.rows]) + "\n"
+        return "\n".join([REPORT_HEADER] + [f"{self.experiment},sim,{r.csv_row()}"
+                                             for r in self.rows]) + "\n"
 
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
         out = Path(out_dir)
@@ -123,7 +122,7 @@ def run_scaling_experiment(model: str, batch: int, k_list: list[int],
             raise ValueError(f"global batch {batch} not divisible by K={k}")
     rows = []
     for k in k_list:
-        rows.append(ReportRow("scaling", "sim", profile.name, k, "ring_packed",
+        rows.append(ReportRow(profile.name, k, "ring_packed",
                               *simulate_iteration(profile, batch // k, compute, k, net)))
 
     by_k = {r.k: r for r in rows}
@@ -153,8 +152,7 @@ def run_collective_bench(sizes_bytes: list[int], k_list: list[int],
             for size in sizes_bytes:
                 for k in k_list:
                     t = collective_time(size, k, net, compute, alg, rng)
-                    rows.append(ReportRow("collective", "sim", f"{size}B", k,
-                                          f"{alg}:{net_name}", 0.0, t))
+                    rows.append(ReportRow(f"{size}B", k, f"{alg}:{net_name}", 0.0, t))
     meta = _meta(nets, compute, min(n.seed for n in nets.values()),
                  sizes_bytes=list(sizes_bytes), k_list=list(k_list), algs=["ring", "tree"])
     return ExperimentReport("collective", rows, meta)
@@ -168,7 +166,7 @@ def run_aggregation_comparison(models: list[str] | None, k: int, net: NetProfile
     for profile in profiles:
         for alg in AGGREGATIONS:
             t_comm = aggregation_comm_time(profile, k, net, compute, alg)
-            rows.append(ReportRow("aggregation", "sim", profile.name, k, alg, 0.0, t_comm))
+            rows.append(ReportRow(profile.name, k, alg, 0.0, t_comm))
     meta = _meta(net, compute, net.seed, k=k)
     return ExperimentReport("aggregation", rows, meta)
 
@@ -177,7 +175,7 @@ def run_efficiency_sweep(k: int, net: NetProfile, compute: ComputeProfile) -> Ex
     """Per-model efficiency at each model's memory-maximal per-device batch."""
     rows = []
     for profile in all_profiles():
-        rows.append(ReportRow("efficiency", "sim", profile.name, k, "ring_packed",
+        rows.append(ReportRow(profile.name, k, "ring_packed",
                               *simulate_iteration(profile, profile.batch_per_device,
                                                   compute, k, net)))
     for r in rows:
@@ -199,40 +197,38 @@ def run_rar_vs_tree(model: str, k_list: list[int], net: NetProfile,
     for k in k_list:
         ring = aggregation_comm_time(profile, k, net, compute, "ring_packed")
         tree = aggregation_comm_time(profile, k, net, compute, "tree_packed")
-        rows.append(ReportRow("rar_vs_tree", "sim", profile.name, k, "ring_packed", 0.0, ring))
-        rows.append(ReportRow("rar_vs_tree", "sim", profile.name, k, "tree_packed", 0.0, tree))
+        rows.append(ReportRow(profile.name, k, "ring_packed", 0.0, ring))
+        rows.append(ReportRow(profile.name, k, "tree_packed", 0.0, tree))
         speedups[str(k)] = 1.0 if k == 1 else tree / ring
     meta = _meta(net, compute, net.seed, model=profile.name, speedup_tree_over_ring=speedups)
     return ExperimentReport("rar_vs_tree", rows, meta)
 
 
-def run_thermal_scenario(thermal: ThermalModel, duration_s: float, fan_on: bool,
-                         baseline_t_comp_s: float, idle_s: float,
-                         fan_cool_multiplier: float) -> ExperimentReport:
+def run_thermal_scenario(thermal: ThermalPreset, duration_s: float,
+                         fan_on: bool) -> ExperimentReport:
     """Iterate compute+idle cycles under the thermal model for a virtual duration.
 
     Returns one row per iteration; the temperature series rides in metadata.
     With the fan on, the cooling rate is multiplied, which keeps the device
     cool enough that the upper throttling tier never engages.
     """
-    state = replace(thermal,
-                    cool_rate=thermal.cool_rate * (fan_cool_multiplier if fan_on else 1.0),
-                    temp=thermal.temp)
+    fan = thermal.fan_cool_multiplier if fan_on else 1.0
+    state = replace(thermal, cool_rate=thermal.cool_rate * fan)
     rows = []
     temps = []
     elapsed = 0.0
     while elapsed < duration_s:
         temps.append(state.temp)
-        t_comp = baseline_t_comp_s * state.multiplier()
+        t_comp = thermal.baseline_t_comp_s * state.multiplier()
         state.heat(t_comp)
-        state.cool(idle_s)
-        rows.append(ReportRow("thermal", "sim", "thermal-baseline", 1,
-                              "fan_on" if fan_on else "fan_off", t_comp, idle_s))
-        elapsed += t_comp + idle_s
+        state.cool(thermal.idle_s)
+        rows.append(ReportRow("thermal-baseline", 1, "fan_on" if fan_on else "fan_off",
+                              t_comp, thermal.idle_s))
+        elapsed += t_comp + thermal.idle_s
     meta = _meta(None, None, 0, thermal={
         "ambient": thermal.ambient, "heat_rate": thermal.heat_rate,
         "cool_rate": thermal.cool_rate, "tiers": [list(t) for t in thermal.tiers]},
-        fan_on=fan_on, baseline_t_comp_s=baseline_t_comp_s, idle_s=idle_s,
+        fan_on=fan_on, baseline_t_comp_s=thermal.baseline_t_comp_s, idle_s=thermal.idle_s,
         temps_c=temps)
     return ExperimentReport("thermal", rows, meta)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -56,8 +56,5 @@ class ThermalPreset(ThermalModel):
     fan_cool_multiplier: float
 
 
-def load_thermal(name_or_path: str | Path = "thermal_s10") -> tuple[ThermalModel, dict]:
-    """Returns (ThermalModel, scenario defaults such as baseline/idle/fan)."""
-    values = asdict(from_json_object(ThermalPreset, json.loads(_resolve(name_or_path).read_text())))
-    scenario = {f.name: values.pop(f.name) for f in fields(ThermalPreset) if f.kw_only}
-    return ThermalModel(**values), scenario
+def load_thermal(name_or_path: str | Path = "thermal_s10") -> ThermalPreset:
+    return from_json_object(ThermalPreset, json.loads(_resolve(name_or_path).read_text()))

@@ -47,9 +47,12 @@ class ModelProfile:
 
     name: str
     size_mb: float
-    num_chunks: int
     batch_per_device: int
     chunk_elems: tuple[int, ...] = field(repr=False)
+
+    @property
+    def num_chunks(self) -> int:
+        return len(self.chunk_elems)
 
     @property
     def total_elems(self) -> int:
@@ -81,13 +84,8 @@ def build_profile(name: str) -> ModelProfile:
         known = ", ".join(sorted(_REGISTRY) + sorted(_ALIASES))
         raise KeyError(f"unknown model profile {name!r}; known names: {known}") from None
     total = round(size_mb * MB / FLOAT_BYTES)
-    return ModelProfile(
-        name=key,
-        size_mb=size_mb,
-        num_chunks=num_chunks,
-        batch_per_device=batch,
-        chunk_elems=split_elements(total, num_chunks),
-    )
+    return ModelProfile(name=key, size_mb=size_mb, batch_per_device=batch,
+                        chunk_elems=split_elements(total, num_chunks))
 
 
 def all_profiles() -> list[ModelProfile]:

@@ -60,6 +60,8 @@ class FramedSocket:
                 try:
                     count = _until(self.sock, deadline).recv_into(view[got:])
                 except (socket.timeout, BlockingIOError):
+                    if got:   # the stream no longer starts at a frame boundary
+                        self.dead = True
                     raise RecvTimeout(f"recv timed out after {timeout}s") from None
                 except OSError as exc:
                     self.dead = True
@@ -94,12 +96,12 @@ class FramedSocket:
             raise PeerDisconnected("connection already marked dead")
         deadline = time.monotonic() + timeout
         header = self._recv_exact(HEADER_SIZE, deadline, timeout)
-        try:
+        try:   # a bad header, or a timeout after the header, leaves the stream out of step
             tag, length = decode_header(header)
-        except WireProtocolError:
+            return tag, self._recv_exact(length, deadline, timeout)
+        except (WireProtocolError, RecvTimeout):
             self.dead = True
             raise
-        return tag, self._recv_exact(length, deadline, timeout)
 
 
 class TcpEndpoint:
@@ -228,17 +230,21 @@ class Coordinator(_ServerThread):
         self.timeout = timeout
 
     def serve(self) -> None:
-        """Accept all workers within ``timeout``, then send everyone the rank -> address table."""
+        """Accept and read all registrations within ``timeout``, then send everyone
+        the rank -> address table."""
         conns: dict[int, FramedSocket] = {}
         table: dict[str, tuple[str, int]] = {}
         deadline = time.monotonic() + self.timeout
         # every accepted socket is closed on the way out, registered or not
         with ExitStack() as accepted:
             while len(conns) < self.size:
-                fs = FramedSocket(accepted.enter_context(_accept(
-                    _until(self._server, deadline),
-                    f"rendezvous timed out with {len(conns)}/{self.size} workers")))
-                tag, payload = fs.recv_frame(self.timeout)
+                late = f"rendezvous timed out with {len(conns)}/{self.size} workers"
+                fs = FramedSocket(accepted.enter_context(
+                    _accept(_until(self._server, deadline), late)))
+                try:
+                    tag, payload = fs.recv_frame(max(0.0, deadline - time.monotonic()))
+                except RecvTimeout:
+                    raise RecvTimeout(late) from None
                 if tag != TAG_REGISTER:
                     raise TagMismatch(f"coordinator expected registration, got tag {tag}")
                 reg = json.loads(payload.decode())

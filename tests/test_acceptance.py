@@ -202,15 +202,15 @@ def test_criterion_08_rar_vs_tree():
 
 def test_criterion_09_thermal_scenario():
     with criterion(9, "thermal preset: exactly two steps at 20.9s and 24.8s", 10):
-        thermal, scenario = load_thermal()
-        report = run_thermal_scenario(thermal, 600.0, fan_on=False, **scenario)
+        thermal = load_thermal()
+        report = run_thermal_scenario(thermal, 600.0, fan_on=False)
         series = [r.t_comp for r in report.rows]
         assert count_upward_steps(series) == 2
         levels = sorted(set(series))
         assert levels == pytest.approx([18.2, 18.2 * 1.148, 18.2 * 1.363], abs=1e-9)
         assert round(levels[1], 1) == 20.9 and round(levels[2], 1) == 24.8
         frozen = dataclasses.replace(thermal, cool_rate=1e12)
-        report2 = run_thermal_scenario(frozen, 600.0, fan_on=False, **scenario)
+        report2 = run_thermal_scenario(frozen, 600.0, fan_on=False)
         assert count_upward_steps([r.t_comp for r in report2.rows]) == 0
 
 

@@ -285,6 +285,20 @@ def test_sim_with_fewer_than_one_worker_exits_2(experiment, k, tmp_path, capsys)
     assert "k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,workers,message", [
+    (["launch", "--workers", "0"], 0, "config error: workers must be >= 1"),
+    (["launch", "--workers", "-1"], -1, "config error: workers must be >= 1"),
+    (["worker", "--rank", "-1", "--size", "2", "--coordinator", "127.0.0.1:1"], 2,
+     "rank/size -1/2 inconsistent"),
+], ids=["launch-zero-workers", "launch-negative-workers", "worker-negative-rank"])
+def test_no_workers_or_a_negative_rank_exits_2(argv, workers, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"global_batch": 4 * workers, "per_device_batch": 4,
+                               "workers": workers}))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["aggregation", "efficiency"])
 def test_sim_at_one_k_rejects_a_list_of_k(experiment, tmp_path, capsys):
     assert run_cli("sim", experiment, "--k", "8,16", "--out", str(tmp_path)) == EXIT_USAGE
@@ -307,6 +321,15 @@ def test_probe_real_loopback(capsys):
                    "--seconds", "0.05", "--repeat", "2") == EXIT_OK
     out = capsys.readouterr().out
     assert float(out.split()[0]) > 0
+
+
+@pytest.mark.parametrize("flags", [["--repeat", "0"], ["--repeat", "-2"],
+                                   ["--seconds", "0"], ["--seconds", "-1"]])
+@pytest.mark.parametrize("mode", [["--sim", "wifi5"], ["--client", "127.0.0.1:1"]],
+                         ids=["sim", "client"])
+def test_probe_without_repeats_or_time_exits_2(mode, flags, capsys):
+    assert run_cli("probe", *mode, *flags) == EXIT_USAGE
+    assert "--repeat >= 1 and --seconds > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("frames", [[(7, b"")], [(TAG_PROBE_DATA, b"x" * 10)]],

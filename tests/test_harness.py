@@ -12,11 +12,11 @@ from ringtrain.errors import AssertionFailure
 from ringtrain.harness import (aggregation_comm_time, collective_time,
                                contention_slowdown, count_upward_steps,
                                fit_contention_coeff, fit_invocation_overhead,
-                               fit_throughput_boundary, ring_comm_time,
+                               fit_throughput_boundary,
                                run_aggregation_comparison, run_collective_bench,
                                run_efficiency_sweep, run_rar_vs_tree,
                                run_scaling_experiment, run_thermal_scenario,
-                               simulate_iteration, tree_comm_time)
+                               simulate_iteration)
 from ringtrain.preset import load_compute, load_net, load_thermal
 from ringtrain.profiles import (FLOAT_BYTES, MB, ComputeProfile, ModelProfile, ThermalModel,
                                 build_profile)
@@ -26,6 +26,7 @@ from ringtrain.transport.sim import SimCluster
 ETH = load_net("ethernet")
 COMPUTE = load_compute()
 PLAIN = ComputeProfile(throughput=1e8)  # element-count proxy, no overheads
+BARE = dataclasses.replace(COMPUTE, invocation_overhead=0.0)  # a collective's messages alone
 
 
 class TestComputeProfile:
@@ -72,21 +73,21 @@ class TestThermalModel:
 
 class TestCostModel:
     def test_ring_k1_is_free(self):
-        assert ring_comm_time(1000, 1, ETH) == 0.0
+        assert collective_time(1000 * FLOAT_BYTES, 1, ETH, BARE, "ring") == 0.0
 
     def test_ring_zero_size_is_pure_latency(self):
         k = 8
-        assert ring_comm_time(0, k, ETH) == pytest.approx(2 * (k - 1) * ETH.latency)
+        assert collective_time(0, k, ETH, BARE, "ring") == pytest.approx(2 * (k - 1) * ETH.latency)
 
     def test_tree_zero_size_is_pure_latency(self):
-        t = tree_comm_time(0, 16, ETH, 65536)
+        t = collective_time(0, 16, ETH, BARE, "tree")
         assert t == pytest.approx(2 * 4 * ETH.latency)  # depth 4, both directions
 
     def test_ring_approaches_bandwidth_optimal_limit(self):
         # at K=138 with zero latency the ring should sit within 5% of 2*n*4*8/bw
         net = dataclasses.replace(ETH, latency=0.0)
         n = 1_000_000
-        t = ring_comm_time(n, 138, net)
+        t = collective_time(n * FLOAT_BYTES, 138, net, BARE, "ring")
         limit = 2 * n * 4 * 8 / (1e6 * net.base_bandwidth)
         assert abs(t - limit) / limit <= 0.05
 
@@ -109,7 +110,7 @@ class TestCostModel:
         times = []
         for chunks in (4, 16, 64, 256):
             profile = ModelProfile(name=f"synthetic-{chunks}", size_mb=4.0,
-                                   num_chunks=chunks, batch_per_device=1,
+                                   batch_per_device=1,
                                    chunk_elems=split_elements(total, chunks))
             times.append(aggregation_comm_time(profile, 8, ETH, COMPUTE,
                                                "ring_chunkwise"))
@@ -129,12 +130,13 @@ class TestCostModel:
         wifi = load_net("wifi5")
         n = 200_000
         one = sim_transfer_time(n // 2 * 4, 2, wifi, np.random.default_rng(wifi.seed))
-        assert ring_comm_time(n, 2, wifi) != 2 * one
+        assert collective_time(n * FLOAT_BYTES, 2, wifi, BARE, "ring") != 2 * one
 
     def test_default_generator_is_seeded_from_the_profile(self):
         wifi = load_net("wifi5")
         rng = np.random.default_rng(wifi.seed)
-        assert ring_comm_time(10_000, 8, wifi) == ring_comm_time(10_000, 8, wifi, rng)
+        assert (collective_time(40_000, 8, wifi, BARE, "ring")
+                == collective_time(40_000, 8, wifi, BARE, "ring", rng))
 
 
 def _message_time(nbytes, k, net, rng):
@@ -195,7 +197,8 @@ class TestArrayPricingMatchesScalarWalk:
     def test_ring(self, k_n, net, seed):
         k, n = k_n
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert ring_comm_time(n, k, net, rng) == _ring_walk(n, k, net, ref_rng)
+        assert (collective_time(n * FLOAT_BYTES, k, net, BARE, "ring", rng)
+                == _ring_walk(n, k, net, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
@@ -205,13 +208,13 @@ class TestArrayPricingMatchesScalarWalk:
            NETS, st.integers(0, 2 ** 32 - 1))
     def test_tree(self, k, n_bytes, net, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert (tree_comm_time(n_bytes, k, net, SEGMENT, rng)
+        assert (collective_time(n_bytes, k, net, BARE, "tree", rng)
                 == _tree_walk(n_bytes, k, net, SEGMENT, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSimMatchesCostModel:
-    """SimCluster's ring and ring_comm_time price the one ring schedule."""
+    """SimCluster's ring and the ring's collective_time price the one ring schedule."""
 
     @pytest.mark.parametrize("contention", [0.0, 0.5])
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 16])
@@ -224,7 +227,7 @@ class TestSimMatchesCostModel:
                 return ep.clock
 
             clocks = SimCluster(k, net).run(task)
-            modeled = ring_comm_time(n, k, net)
+            modeled = collective_time(n * FLOAT_BYTES, k, net, BARE, "ring")
             if n % k == 0:
                 assert clocks == [modeled] * k, f"n={n}"
             else:
@@ -248,8 +251,7 @@ class TestSimTrainingMatchesCostModel:
 
         # the sim engine charges no invocation overhead
         compute = dataclasses.replace(COMPUTE, invocation_overhead=0.0)
-        mlp = ModelProfile("mlp", sum(chunks) * FLOAT_BYTES / MB, len(chunks),
-                           cfg.per_device_batch, chunks)
+        mlp = ModelProfile("mlp", sum(chunks) * FLOAT_BYTES / MB, cfg.per_device_batch, chunks)
         modeled = aggregation_comm_time(mlp, k, ETH, compute, alg)
         segments = chunks if alg == "ring_chunkwise" else (sum(chunks),)
         rel = 1e-12 if all(n % k == 0 for n in segments) else 0.01
@@ -392,8 +394,7 @@ class TestRarVsTree:
 
 class TestThermalScenario:
     def test_two_upward_steps_at_published_levels(self):
-        thermal, scenario = load_thermal()
-        report = run_thermal_scenario(thermal, 600.0, fan_on=False, **scenario)
+        report = run_thermal_scenario(load_thermal(), 600.0, fan_on=False)
         series = [r.t_comp for r in report.rows]
         assert count_upward_steps(series) == 2
         levels = sorted(set(series))
@@ -402,21 +403,19 @@ class TestThermalScenario:
         assert levels[2] == pytest.approx(18.2 * 1.363)
 
     def test_fan_suppresses_upper_tier(self):
-        thermal, scenario = load_thermal()
-        report = run_thermal_scenario(thermal, 600.0, fan_on=True, **scenario)
+        report = run_thermal_scenario(load_thermal(), 600.0, fan_on=True)
         series = [r.t_comp for r in report.rows]
         assert max(series) < 18.2 * 1.363
 
     def test_zero_heat_rate_keeps_compute_constant(self):
-        thermal, scenario = load_thermal()
-        cold = dataclasses.replace(thermal, heat_rate=0.0)
-        report = run_thermal_scenario(cold, 300.0, fan_on=False, **scenario)
+        cold = dataclasses.replace(load_thermal(), heat_rate=0.0)
+        report = run_thermal_scenario(cold, 300.0, fan_on=False)
         assert len({r.t_comp for r in report.rows}) == 1
 
     def test_infinite_cooling_pins_ambient(self):
-        thermal, scenario = load_thermal()
+        thermal = load_thermal()
         frozen = dataclasses.replace(thermal, cool_rate=1e12)
-        report = run_thermal_scenario(frozen, 300.0, fan_on=False, **scenario)
+        report = run_thermal_scenario(frozen, 300.0, fan_on=False)
         assert set(report.metadata["temps_c"]) == {thermal.ambient}
         assert count_upward_steps([r.t_comp for r in report.rows]) == 0
 

@@ -169,6 +169,22 @@ class TestFramedTcp:
             a.close(), b.close()
         assert not dripper.is_alive()
 
+    @pytest.mark.parametrize("cut", [6, 12, 16], ids=["in-header", "after-header", "in-payload"])
+    def test_a_timeout_inside_a_frame_marks_the_link_dead(self, cut):
+        a, b = socket_pair()
+        with pytest.raises(RecvTimeout):   # no byte of a frame read yet: the link lives
+            b.recv_frame(timeout=0.05)
+        assert not b.dead
+        frame = b"".join(encode_frame(7, b"12345678"))
+        a.sock.sendall(frame[:cut])
+        with pytest.raises(RecvTimeout):
+            b.recv_frame(timeout=0.2)
+        assert b.dead
+        a.sock.sendall(frame[cut:])
+        with pytest.raises(PeerDisconnected):
+            b.recv_frame(timeout=0.2)
+        a.close(), b.close()
+
     def test_peer_closed(self):
         a, b = socket_pair()
         a.close()
@@ -315,6 +331,18 @@ class TestRendezvousMesh:
         assert not coord.is_alive()
         assert isinstance(coord.error, RecvTimeout)
         assert str(coord.error) == "rendezvous timed out with 0/2 workers"
+
+    def test_a_silent_registration_ends_at_the_rendezvous_deadline(self):
+        t0 = time.monotonic()
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=1.0)
+        coord.start()
+        time.sleep(0.9)
+        with socket.create_connection(coord.address):   # connects, never registers
+            coord.join(timeout=5.0)
+        assert not coord.is_alive()
+        assert isinstance(coord.error, RecvTimeout)
+        assert str(coord.error) == "rendezvous timed out with 0/2 workers"
+        assert time.monotonic() - t0 < 1.5
 
     def test_failed_coordinator_exchange_leaves_no_socket_open(self):
         coord = Coordinator("127.0.0.1", 0, 2, timeout=0.5)
