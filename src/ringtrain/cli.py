@@ -144,9 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_worker(args) -> int:
     config = TrainingConfig.from_json(args.config)
     if not 0 <= args.rank < args.size or args.size != config.workers:
-        print(f"rank/size {args.rank}/{args.size} inconsistent with config "
-              f"workers={config.workers}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"rank/size {args.rank}/{args.size} inconsistent with config "
+                         f"workers={config.workers}")
     config.seed = _resolved_seed(args.seed, config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,9 +184,8 @@ def _worker_env(workers: int) -> dict[str, str]:
 def cmd_launch(args, argv: list[str]) -> int:
     config = TrainingConfig.from_json(args.config)
     if config.workers != args.workers:
-        print(f"--workers {args.workers} does not match config workers="
-              f"{config.workers}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--workers {args.workers} does not match config workers="
+                         f"{config.workers}")
     seed = _resolved_seed(args.seed, config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,7 +238,7 @@ def cmd_launch(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _run_sim(args) -> tuple[list[Path], int]:
+def cmd_sim(args, argv: list[str]) -> int:
     net = load_net(args.net)
     compute = load_compute(args.compute)
     seed = _resolved_seed(args.seed, net.seed)
@@ -269,14 +267,10 @@ def _run_sim(args) -> tuple[list[Path], int]:
                                  args.k or [1, 2, 4, 8, 16, 32, 46], net, compute)
     else:
         report = run_thermal_scenario(load_thermal(args.thermal), args.duration, args.fan)
-    return list(report.write(out)), seed
-
-
-def cmd_sim(args, argv: list[str]) -> int:
-    outputs, seed = _run_sim(args)
+    outputs = list(report.write(out))
     # write_manifest records the digest of each value that names a file
     configs = {name: getattr(args, name) for name in ("net", "net2", "compute", "thermal")}
-    write_manifest(Path(args.out), argv, seed, configs, outputs)
+    write_manifest(out, argv, seed, configs, outputs)
     print(f"wrote {outputs[0]}")
     return EXIT_OK
 
@@ -289,8 +283,7 @@ def _print_rates(rates: list[float], label: str) -> None:
 
 def cmd_probe(args) -> int:
     if args.repeat < 1 or args.seconds <= 0:
-        print("probe needs --repeat >= 1 and --seconds > 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("probe needs --repeat >= 1 and --seconds > 0")
     if args.server:
         host, port = args.bind
         addr, thread = tcp_probe_server(host, port)
@@ -301,8 +294,7 @@ def cmd_probe(args) -> int:
         return EXIT_OK
     if args.sim:
         profile = load_net(args.sim)
-        if args.seed is not None:
-            profile = replace(profile, seed=args.seed)
+        profile = replace(profile, seed=_resolved_seed(args.seed, profile.seed))
         rates, aborted = [], False
         for i in range(args.repeat):
             rate, bad = sim_probe_bandwidth(replace(profile, seed=profile.seed + i),

@@ -25,6 +25,7 @@ from .transport.net import NetProfile
 from .transport.sim import SimCluster
 
 LR_SCALINGS = ("none", "linear")
+LR_REFERENCE_BATCH = 32
 
 METRICS_HEADER = "iter,rank,t_comp_s,t_comm_s,loss"
 
@@ -44,11 +45,13 @@ class TrainingConfig:
     seed: int = 0
     aggregation: str = "ring_packed"
     lr_scaling: str = "none"
-    lr_reference_batch: int = 32
     model_dims: list[int] = field(default_factory=lambda: [2, 16, 2])
     dataset_size: int = 512
     dataset_classes: int = 2
     dataset_spread: float = 0.6
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "TrainingConfig":
         if self.workers < 1:
@@ -67,13 +70,15 @@ class TrainingConfig:
             raise ValueError(f"lr_scaling must be one of {LR_SCALINGS}")
         if self.dataset_size < self.global_batch:
             raise ValueError("dataset must hold at least one global batch")
+        if len(self.model_dims) < 2:
+            raise ValueError("model_dims needs an input and an output dim")
         if self.model_dims[-1] != self.dataset_classes:
             raise ValueError("model output dim must equal dataset class count")
         return self
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TrainingConfig":
-        return from_json_object(cls, json.loads(Path(path).read_text())).validate()
+        return from_json_object(cls, json.loads(Path(path).read_text()))
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
@@ -91,14 +96,14 @@ class IterationMetrics:
         return f"{self.iteration},{self.rank},{self.t_comp!r},{self.t_comm!r},{self.loss!r}"
 
 
-def scale_lr(base_lr: float, batch: int, reference_batch: int, mode: str = "linear") -> float:
-    """Linear large-batch scaling: lr * B / B_ref (or base_lr when mode is none)."""
-    if batch < 1 or reference_batch < 1:
-        raise ValueError("batch sizes must be >= 1")
+def scale_lr(base_lr: float, batch: int, mode: str = "linear") -> float:
+    """Linear large-batch scaling: lr * B / LR_REFERENCE_BATCH (or base_lr when mode is none)."""
+    if batch < 1:
+        raise ValueError("batch size must be >= 1")
     if mode == "none":
         return base_lr
     if mode == "linear":
-        return base_lr * batch / reference_batch
+        return base_lr * batch / LR_REFERENCE_BATCH
     raise ValueError(f"unknown lr scaling mode {mode!r}")
 
 
@@ -127,7 +132,6 @@ class Worker:
     """
 
     def __init__(self, config: TrainingConfig, endpoint):
-        config.validate()
         self.config = config
         self.endpoint = endpoint
         self.compute = load_compute()
@@ -136,8 +140,7 @@ class Worker:
         self.dataset = make_blobs(config.dataset_size, config.model_dims[0],
                                   config.dataset_classes, seed=config.seed + 1,
                                   spread=config.dataset_spread)
-        self.lr = scale_lr(config.base_lr, config.global_batch,
-                           config.lr_reference_batch, config.lr_scaling)
+        self.lr = scale_lr(config.base_lr, config.global_batch, config.lr_scaling)
         self.last_local_grads: list[np.ndarray] | None = None
         self.last_mean_grads: list[np.ndarray] | None = None
 
@@ -192,7 +195,6 @@ def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
 
     The links (ethernet preset by default) are seeded with the config's seed.
     """
-    config.validate()
     profile = load_net("ethernet") if profile is None else profile
     cluster = SimCluster(config.workers, replace(profile, seed=config.seed))
     workers = [Worker(config, ep) for ep in cluster.endpoints]

@@ -49,8 +49,6 @@ def _schedule(collective: str, k: int, segment_bytes: int | None):
 def _comm_time(sizes: np.ndarray, k: int, net: NetProfile,
                rng: np.random.Generator | None) -> float:
     """Time of messages sent one after another, summed in message order."""
-    if k == 1:
-        return 0.0
     rng = np.random.default_rng(net.seed) if rng is None else rng
     return float(np.cumsum(sim_transfer_time(sizes, k, net, rng))[-1])
 

@@ -212,6 +212,8 @@ def run_thermal_scenario(thermal: ThermalPreset, duration_s: float,
     With the fan on, the cooling rate is multiplied, which keeps the device
     cool enough that the upper throttling tier never engages.
     """
+    if not 0 <= duration_s < float("inf"):
+        raise ValueError(f"duration must be finite and >= 0, got {duration_s}")
     fan = thermal.fan_cool_multiplier if fan_on else 1.0
     state = replace(thermal, cool_rate=thermal.cool_rate * fan)
     rows = []

@@ -11,17 +11,13 @@ from .profiles import ComputeProfile, ThermalModel
 from .transport.net import NetProfile
 
 
-def preset_path(name: str) -> Path:
+def preset_path(name_or_path: str | Path) -> Path:
+    """The file ``name_or_path`` if it exists, else the bundled preset of that name."""
+    name = str(name_or_path)
+    if Path(name).exists():
+        return Path(name)
     filename = name if name.endswith(".json") else f"{name}.json"
-    path = resources.files("ringtrain").joinpath("presets").joinpath(filename)
-    return Path(str(path))
-
-
-def _resolve(name_or_path: str | Path) -> Path:
-    p = Path(name_or_path)
-    if p.exists():
-        return p
-    return preset_path(str(name_or_path))
+    return Path(str(resources.files("ringtrain").joinpath("presets").joinpath(filename)))
 
 
 def from_json_object(cls, data):
@@ -36,15 +32,18 @@ def from_json_object(cls, data):
                 (("unknown", unknown), ("missing", missing)) if keys]
     if problems:
         raise ValueError(f"{cls.__name__} config: {', '.join(problems)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:   # a value of the wrong JSON type
+        raise ValueError(f"{cls.__name__} config: {exc}") from exc
 
 
 def load_net(name_or_path: str | Path) -> NetProfile:
-    return from_json_object(NetProfile, json.loads(_resolve(name_or_path).read_text()))
+    return from_json_object(NetProfile, json.loads(preset_path(name_or_path).read_text()))
 
 
 def load_compute(name_or_path: str | Path = "compute_s10") -> ComputeProfile:
-    return from_json_object(ComputeProfile, json.loads(_resolve(name_or_path).read_text()))
+    return from_json_object(ComputeProfile, json.loads(preset_path(name_or_path).read_text()))
 
 
 @dataclass(kw_only=True)
@@ -55,6 +54,12 @@ class ThermalPreset(ThermalModel):
     idle_s: float
     fan_cool_multiplier: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (self.baseline_t_comp_s > 0 and self.idle_s >= 0 and self.fan_cool_multiplier > 0):
+            raise ValueError("thermal preset needs baseline_t_comp_s > 0, idle_s >= 0 "
+                             "and fan_cool_multiplier > 0")
+
 
 def load_thermal(name_or_path: str | Path = "thermal_s10") -> ThermalPreset:
-    return from_json_object(ThermalPreset, json.loads(_resolve(name_or_path).read_text()))
+    return from_json_object(ThermalPreset, json.loads(preset_path(name_or_path).read_text()))

@@ -120,6 +120,8 @@ class ComputeProfile:
             raise ValueError("throughput and pack_bandwidth must be positive")
         if self.invocation_overhead < 0 or self.tree_segment_bytes < 1:
             raise ValueError("invocation_overhead >= 0 and tree_segment_bytes >= 1")
+        if not all(work > 0 for work in self.work_per_sample.values()):
+            raise ValueError("every work_per_sample value must be > 0")
 
     def work_for(self, profile: ModelProfile) -> float:
         return float(self.work_per_sample.get(profile.name, profile.total_elems))

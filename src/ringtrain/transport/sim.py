@@ -121,14 +121,12 @@ class SimCluster:
         all threads finish.
         """
         results = [None] * self.size
-        errors: list[tuple[int, BaseException]] = []
 
         def task(rank: int):
             try:
                 results[rank] = fn(self.endpoints[rank], *args)
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 with self.cond:
-                    errors.append((rank, exc))
                     if self.failed is None:
                         self.failed = (rank, exc)
                     self.cond.notify_all()
@@ -139,9 +137,9 @@ class SimCluster:
             t.start()
         for t in threads:
             t.join()
-        if errors:
+        if self.failed is not None:
             # first failure chronologically is the root cause
-            raise errors[0][1]
+            raise self.failed[1]
         return results
 
 

@@ -114,8 +114,6 @@ class TcpEndpoint:
         self.size = size
         self.conns = conns
         self.timeout = timeout
-        self.n_sends = 0
-        self.bytes_sent = 0
 
     @property
     def clock(self) -> float:
@@ -141,8 +139,6 @@ class TcpEndpoint:
         data = floats_to_wire(payload)
         with self._link(dst) as conn:
             conn.send_frame(tag, data, self.timeout)
-        self.n_sends += 1
-        self.bytes_sent += len(data)
 
     def recv(self, src: int, tag: int, timeout: float | None = None) -> np.ndarray:
         with self._link(src) as conn:

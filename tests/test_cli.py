@@ -13,7 +13,7 @@ import pytest
 
 from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VARS, main
 from ringtrain.engine import TrainingConfig
-from ringtrain.preset import preset_path
+from ringtrain.preset import load_thermal, preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
 from ringtrain.transport.tcp import (TAG_PROBE_DATA, Coordinator, FramedSocket, rendezvous,
                                      tcp_probe_server)
@@ -369,6 +369,61 @@ def test_config_file_with_wrong_keys_exits_2(argv, config, tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
     assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["launch", "--workers", "2", "--config"],
+     {"global_batch": 4, "per_device_batch": 2, "workers": "2"}),
+    (["launch", "--workers", "2", "--config"],
+     {"global_batch": 4, "per_device_batch": 2, "workers": 2, "model_dims": []}),
+    (["sim", "scaling", "--net"], {"base_bandwidth": "940", "latency": 1e-4}),
+    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": "x"}}),
+    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": [1]}}),
+    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": 0}}),
+], ids=["launch-string-workers", "launch-no-model-dims", "sim-string-bandwidth",
+        "sim-string-work", "sim-list-work", "sim-zero-work"])
+def test_config_file_with_wrong_values_exits_2(argv, config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"baseline_t_comp_s": 0, "idle_s": 0}, {"idle_s": -20},
+                                 {"fan_cool_multiplier": 0}],
+                         ids=["no-time-passes", "negative-idle", "no-fan-cooling"])
+def test_thermal_preset_out_of_bounds_is_rejected(bad, tmp_path, capsys):
+    path = tmp_path / "thermal.json"
+    path.write_text(json.dumps({**THERMAL, **bad}))
+    with pytest.raises(ValueError, match="thermal preset needs"):
+        load_thermal(path)
+    assert run_cli("sim", "thermal", "--thermal", str(path), "--out", str(tmp_path)) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("duration", ["-1", "nan"])
+def test_sim_thermal_without_a_valid_duration_exits_2(duration, tmp_path, capsys):
+    assert run_cli("sim", "thermal", f"--duration={duration}",
+                   "--out", str(tmp_path)) == EXIT_USAGE
+    assert "duration must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_sim_thermal_with_an_infinite_duration_exits_2(tmp_path):
+    # a subprocess, so a loop that never ends fails the test instead of hanging it
+    proc = subprocess.run([sys.executable, "-m", "ringtrain", "sim", "thermal",
+                           "--duration", "inf", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert "duration must be finite and >= 0" in proc.stderr
+
+
+def test_probe_sim_seed_env_matches_flag(monkeypatch, capsys):
+    argv = ["probe", "--sim", "wifi5", "--seconds", "0.2", "--repeat", "3"]
+    monkeypatch.delenv("RINGTRAIN_SEED", raising=False)
+    assert run_cli(*argv, "--seed", "5") == EXIT_OK
+    by_flag = capsys.readouterr().out
+    monkeypatch.setenv("RINGTRAIN_SEED", "5")
+    assert run_cli(*argv) == EXIT_OK
+    assert capsys.readouterr().out == by_flag
 
 
 def test_worker_rendezvous_timeout_exits_3(tmp_path):

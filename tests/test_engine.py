@@ -67,13 +67,13 @@ class TestShard:
 
 class TestScaleLr:
     def test_reference_batch_identity(self):
-        assert scale_lr(0.01, 32, 32) == 0.01
+        assert scale_lr(0.01, 32) == 0.01
 
     def test_linear_example(self):
-        assert scale_lr(0.01, 736, 32) == pytest.approx(0.23)
+        assert scale_lr(0.01, 736) == pytest.approx(0.23)
 
     def test_none_mode_ignores_batch(self):
-        assert scale_lr(0.01, 4096, 32, mode="none") == 0.01
+        assert scale_lr(0.01, 4096, mode="none") == 0.01
 
 
 def test_k1_matches_manual_single_process_sgd_bitwise():
@@ -173,6 +173,16 @@ def test_sim_mode_synchronous_equivalence(k):
     for wk, w1 in zip(models[0].weights, ref_models[0].weights):
         rel = np.linalg.norm(wk - w1) / np.linalg.norm(w1)
         assert rel <= 1e-4
+
+
+def test_linear_lr_scaling_through_the_engine():
+    cfg = config(4, 16, iterations=50, seed=21, lr_scaling="linear")
+    assert Worker(cfg, SimCluster(4, ETH).endpoints[0]).lr == cfg.base_lr * 64 / 32
+    _, ref_models = run_training_sim(config(1, 64, iterations=50, seed=21,
+                                            lr_scaling="linear"), ETH)
+    _, models = run_training_sim(cfg, ETH)
+    for wk, w1 in zip(models[0].weights, ref_models[0].weights):
+        assert np.linalg.norm(wk - w1) / np.linalg.norm(w1) <= 1e-4
 
 
 def test_sim_timing_identity_and_wall_bound():
