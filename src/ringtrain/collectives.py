@@ -1,8 +1,8 @@
 """Allreduce collectives over an abstract transport.
 
-Two algorithms with the same contract (each takes a rank's float array and
-returns a new float32 array holding the elementwise SUM over all ranks'
-arrays), each a message schedule (``ring_steps``, ``tree_steps``) that one
+Two algorithms with the same contract (each overwrites a rank's C-contiguous
+float32 array, in place, with the elementwise SUM over all ranks' arrays, and
+returns it), each a message schedule (``ring_steps``, ``tree_steps``) that one
 executor runs:
 
 * ``ring_allreduce``: K-1 scatter-reduce steps then K-1 allgather steps
@@ -66,7 +66,7 @@ class CommGroup:
 
 
 def pack(grads: list[np.ndarray]) -> np.ndarray:
-    """Concatenate all chunks into one contiguous float32 array."""
+    """Concatenate all chunks into one new contiguous float32 array."""
     if len(grads) == 0:
         raise ValueError("cannot pack an empty gradient set")
     return np.concatenate([np.ascontiguousarray(chunk, dtype=np.float32).reshape(-1)
@@ -74,13 +74,14 @@ def pack(grads: list[np.ndarray]) -> np.ndarray:
 
 
 def unpack(data: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Inverse of pack(): copies each chunk of ``shapes`` out; bit-exact round trip."""
+    """Inverse of pack(): one view of the flat ``data`` per shape, in order; nothing is
+    copied, so writing a chunk writes ``data``."""
     sizes = [math.prod(shape) for shape in shapes]
     if sum(sizes) != data.size:
         raise LayoutError(
             f"shapes cover {sum(sizes)} elements but buffer holds {data.size}")
     pieces = np.split(data, np.cumsum(sizes)[:-1])
-    return [piece.reshape(shape).copy() for piece, shape in zip(pieces, shapes)]
+    return [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
 
 
 def segment_size(n: int, k: int, seg):
@@ -145,41 +146,46 @@ def tree_steps(rank: int, k: int):
 
 
 def _allreduce(data: np.ndarray, group: CommGroup, steps, n_segments: int) -> np.ndarray:
-    """Run this rank's ``steps`` over ``data`` cut into ``n_segments``; returns a new array."""
-    out = data.astype(np.float32, copy=True)
+    """Run this rank's ``steps`` over ``data`` cut into ``n_segments``, summing in place;
+    returns ``data``."""
+    if data.dtype != np.float32 or not data.flags.c_contiguous:
+        raise ValueError("a collective sums a C-contiguous float32 array in place")
     if group.size == 1:
-        return out
+        return data
+    flat = data.reshape(-1)   # a view: data is contiguous
     ep = group.endpoint
     tag0 = group.next_tag_block()
-    bounds = segment_bounds(out.size, n_segments)
+    bounds = segment_bounds(flat.size, n_segments)
     for tag, dst, send_seg, src, recv_seg, reduce in steps:
         if src is None:
-            ep.send(dst, tag0 + tag, out[slice(*bounds[send_seg])])
+            ep.send(dst, tag0 + tag, flat[slice(*bounds[send_seg])])
             continue
         incoming = (ep.recv(src, tag0 + tag) if dst is None else
-                    ep.sendrecv(dst, src, tag0 + tag, out[slice(*bounds[send_seg])]))
+                    ep.sendrecv(dst, src, tag0 + tag, flat[slice(*bounds[send_seg])]))
         lo, hi = bounds[recv_seg]
         if incoming.size != hi - lo:
             raise ProtocolError(
                 f"rank {group.rank}: segment {recv_seg} from rank {src} arrived with "
                 f"{incoming.size} elements, expected {hi - lo}", rank=src)
         if reduce:
-            out[lo:hi] += incoming
+            flat[lo:hi] += incoming
         else:
-            out[lo:hi] = incoming   # a TCP payload views its frame's buffer; the result is out
-    return out
+            flat[lo:hi] = incoming   # a TCP payload views its frame's buffer; copy it out
+    return data
 
 
 def ring_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
-    """Elementwise sum of equal-length arrays across all ranks (ring)."""
+    """Elementwise sum of equal-length arrays across all ranks (ring), in place."""
     return _allreduce(data, group, ring_steps(group.rank, group.size), group.size)
 
 
 def tree_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
-    """Elementwise sum across all ranks via binomial reduce + broadcast."""
+    """Elementwise sum across all ranks via binomial reduce + broadcast, in place."""
     return _allreduce(data, group, tree_steps(group.rank, group.size), 1)
 
 
 def allreduce_chunkwise(grads: list[np.ndarray], group: CommGroup) -> list[np.ndarray]:
-    """One ring allreduce invocation per chunk, in chunk order."""
-    return [ring_allreduce(chunk.reshape(-1), group).reshape(chunk.shape) for chunk in grads]
+    """One in-place ring allreduce invocation per chunk, in chunk order; returns ``grads``."""
+    for chunk in grads:
+        ring_allreduce(chunk, group)
+    return grads

@@ -1,10 +1,11 @@
 """Synchronous data-parallel training loop.
 
 Each iteration every worker: takes its disjoint shard of the global batch,
-runs forward/backward (the computation phase), aggregates gradients through
-the configured collective (the communication phase, which includes the
-pack/unpack copies), divides by the worker count, and applies the same SGD
-update. All workers hold bit-identical weights after every iteration.
+runs forward/backward (the computation phase) into the model's one flat
+gradient array, sums that array across ranks in place through the configured
+collective (the communication phase; no pack or unpack copy is made), divides
+it by the worker count, and applies the same SGD update. All workers hold
+bit-identical weights after every iteration.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectives import (AGGREGATIONS, CommGroup, allreduce_chunkwise, pack, ring_allreduce,
-                          tree_allreduce, unpack)
+from .collectives import (AGGREGATIONS, CommGroup, allreduce_chunkwise, ring_allreduce,
+                          tree_allreduce)
 from .data import make_blobs
 from .errors import CommunicationError, RingtrainError
 from .model import RealModel
@@ -72,6 +73,8 @@ class TrainingConfig:
             raise ValueError("dataset must hold at least one global batch")
         if len(self.model_dims) < 2:
             raise ValueError("model_dims needs an input and an output dim")
+        if min(self.model_dims) < 1:
+            raise ValueError("every model_dims entry must be >= 1")
         if self.model_dims[-1] != self.dataset_classes:
             raise ValueError("model output dim must equal dataset class count")
         return self
@@ -128,7 +131,8 @@ class Worker:
     Both phases are timed on ``endpoint.clock``. The modeled compute and
     pack/unpack copy times of the compute preset, the device model the harness
     prices with, go to ``endpoint.advance``: a ``SimEndpoint`` charges them to
-    its virtual clock, while a ``TcpEndpoint`` runs on the wall clock.
+    its virtual clock, while a ``TcpEndpoint`` runs on the wall clock (where
+    packing costs nothing: the gradients already live in one array).
     """
 
     def __init__(self, config: TrainingConfig, endpoint):
@@ -141,20 +145,18 @@ class Worker:
                                   config.dataset_classes, seed=config.seed + 1,
                                   spread=config.dataset_spread)
         self.lr = scale_lr(config.base_lr, config.global_batch, config.lr_scaling)
-        self.last_local_grads: list[np.ndarray] | None = None
-        self.last_mean_grads: list[np.ndarray] | None = None
 
-    def _aggregate(self, grads: list[np.ndarray]) -> list[np.ndarray]:
+    def _aggregate(self) -> None:
+        """Sum the model's gradients over all ranks, in place."""
         collective, packed = AGGREGATIONS[self.config.aggregation]
         if not packed:
-            return allreduce_chunkwise(grads, self.group)
-        data = pack(grads)
-        copy_time = data.nbytes / self.compute.pack_bandwidth
+            allreduce_chunkwise(self.model.grads, self.group)
+            return
+        flat = self.model.flat_grads
+        copy_time = flat.nbytes / self.compute.pack_bandwidth   # the modeled pack, then unpack
         self.endpoint.advance(copy_time)
-        allreduce = ring_allreduce if collective == "ring" else tree_allreduce
-        data = allreduce(data, self.group)
+        (ring_allreduce if collective == "ring" else tree_allreduce)(flat, self.group)
         self.endpoint.advance(copy_time)
-        return unpack(data, [g.shape for g in grads])
 
     def train_step(self, iteration: int) -> IterationMetrics:
         cfg = self.config
@@ -165,12 +167,12 @@ class Worker:
         try:
             t0 = self.endpoint.clock
             loss, cache = self.model.forward(inputs, labels)
-            grads = self.model.backward(cache)
+            self.model.backward(cache)
             self.endpoint.advance(cfg.per_device_batch * self.model.param_count()
                                   / self.compute.throughput)
             t1 = self.endpoint.clock
             phase = "aggregate"
-            summed = self._aggregate(grads)
+            self._aggregate()
             t_comp, t_comm = t1 - t0, self.endpoint.clock - t1
         except Exception as exc:
             message = f"rank {rank} failed during {phase} at iteration {iteration}"
@@ -179,10 +181,8 @@ class Worker:
                 raise type(exc)(f"{message}{peer}: {exc}", rank=exc.rank) from exc
             raise TrainingError(f"{message}: {exc}") from exc
 
-        mean = [c / cfg.workers for c in summed]
-        self.last_local_grads = grads
-        self.last_mean_grads = mean
-        self.model.sgd_update(mean, lr=self.lr, weight_decay=cfg.weight_decay)
+        self.model.flat_grads /= cfg.workers   # the mean, in the model's gradient views
+        self.model.sgd_update(self.model.grads, lr=self.lr, weight_decay=cfg.weight_decay)
         return IterationMetrics(iteration, rank, t_comp, t_comm, float(loss))
 
     def run(self) -> list[IterationMetrics]:

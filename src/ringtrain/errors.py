@@ -18,7 +18,7 @@ class PeerDisconnected(CommunicationError):
 
 
 class RecvTimeout(CommunicationError):
-    """No matching message arrived within the receive timeout."""
+    """A message did not arrive, or the peer did not take ours, within the timeout."""
 
 
 class TagMismatch(CommunicationError):

@@ -26,6 +26,11 @@ from .cost import aggregation_comm_time, collective_time
 
 REPORT_HEADER = "experiment,mode,model,K,alg,t_comp_s,t_comm_s,t_total_s,efficiency"
 
+# A thermal run writes one row per compute+idle cycle; a duration that could
+# need more is refused rather than run for hours (the shipped preset's 600 s
+# default needs 26 rows).
+MAX_THERMAL_ROWS = 100_000
+
 # Reference GPU-comparison constants shipped with the bundled profiles (peak
 # cluster-vs-GPU speedups on the Mobilenet family); echoed into report
 # metadata for context, never asserted by any experiment.
@@ -214,6 +219,10 @@ def run_thermal_scenario(thermal: ThermalPreset, duration_s: float,
     """
     if not 0 <= duration_s < float("inf"):
         raise ValueError(f"duration must be finite and >= 0, got {duration_s}")
+    rows_needed = duration_s / (thermal.baseline_t_comp_s + thermal.idle_s)
+    if rows_needed > MAX_THERMAL_ROWS:
+        raise ValueError(f"duration {duration_s} s needs up to {rows_needed:.0f} rows, "
+                         f"over the {MAX_THERMAL_ROWS} a thermal run may write")
     fan = thermal.fan_cool_multiplier if fan_on else 1.0
     state = replace(thermal, cool_rate=thermal.cool_rate * fan)
     rows = []

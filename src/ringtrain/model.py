@@ -3,6 +3,8 @@
 Dense layers (no bias) with ReLU activations and a softmax cross-entropy head.
 Weights and gradients are float32 so payload sizes match what the collectives
 move around; gradient-check tooling can rebuild the same arithmetic in float64.
+Each lives in one flat array, with one view per layer, so the gradients can be
+summed across ranks without packing them first.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collectives import unpack
 from .errors import StaleCacheError
 
 
@@ -56,11 +59,14 @@ class RealModel:
         self.seed = seed
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        shapes = list(zip(dims[:-1], dims[1:]))
+        self.flat_weights = np.empty(sum(a * b for a, b in shapes), self.dtype)
+        self.flat_grads = np.zeros_like(self.flat_weights)
+        self.weights = unpack(self.flat_weights, shapes)
+        self.grads = unpack(self.flat_grads, shapes)
+        for w, (fan_in, fan_out) in zip(self.weights, shapes):
             r = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-r, r, size=(fan_in, fan_out))
-            self.weights.append(w.astype(self.dtype))
+            w[...] = rng.uniform(-r, r, size=(fan_in, fan_out))
 
     @property
     def num_layers(self) -> int:
@@ -71,7 +77,7 @@ class RealModel:
         return self.dims[-1]
 
     def param_count(self) -> int:
-        return sum(w.size for w in self.weights)
+        return self.flat_weights.size
 
     def forward(self, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, ForwardCache]:
         """Run the network and return (mean cross-entropy loss, cache)."""
@@ -105,31 +111,35 @@ class RealModel:
         return loss, cache
 
     def backward(self, cache: ForwardCache) -> list[np.ndarray]:
-        """Gradients of the mean loss w.r.t. every weight matrix, one array each."""
+        """Gradients of the mean loss w.r.t. every weight matrix, written into the views
+        ``self.grads`` (which the next call overwrites) and returned."""
         if cache is None or cache.model is not self:
             raise StaleCacheError("backward() needs the cache from this model's forward()")
         delta = (cache.probs - cache.targets) / cache.batch
         delta = delta.astype(self.dtype, copy=False)
-        grads: list[np.ndarray] = [None] * self.num_layers
         for i in range(self.num_layers - 1, -1, -1):
-            grads[i] = cache.inputs[i].T @ delta
+            np.matmul(cache.inputs[i].T, delta, out=self.grads[i])
             if i > 0:
                 delta = (delta @ self.weights[i].T) * cache.masks[i - 1]
-        return grads
+        return self.grads
 
     def sgd_update(self, grads: list[np.ndarray], lr: float, weight_decay: float = 0.0) -> None:
-        """w <- w - lr * (g + weight_decay * w), elementwise."""
+        """w <- w - lr * (g + weight_decay * w), elementwise and in place."""
         if len(grads) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} gradient chunks, got {len(grads)}")
         for w, g in zip(self.weights, grads):
             if g.shape != w.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match weight {w.shape}")
-            w -= (lr * (g + weight_decay * w)).astype(self.dtype, copy=False)
+            step = w * weight_decay   # the same float operations as the formula, one buffer
+            step += g
+            step *= lr
+            w -= step
 
     def clone(self, dtype=None) -> "RealModel":
         """Copy of this model, optionally re-cast (float64 shadow for checks)."""
         other = RealModel(self.dims, self.seed, dtype=dtype or self.dtype)
-        other.weights = [w.astype(other.dtype) for w in self.weights]
+        for mine, theirs in zip(other.weights, self.weights):
+            mine[...] = theirs
         return other
 
     def weight_checksum(self) -> str:

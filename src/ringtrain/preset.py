@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .profiles import ComputeProfile, ThermalModel
 from .transport.net import NetProfile
@@ -20,8 +23,34 @@ def preset_path(name_or_path: str | Path) -> Path:
     return Path(str(resources.files("ringtrain").joinpath("presets").joinpath(filename)))
 
 
+# the annotations are strings (postponed evaluation); each class's are resolved once
+_field_types = functools.cache(get_type_hints)
+
+
+def _fits(value, hint) -> bool:
+    """Whether the parsed JSON ``value`` has the annotated type ``hint``: an int is
+    a float but a bool is neither, and a tuple is an array of its length."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is float:
+        return type(value) in (int, float)   # not isinstance: a bool is an int
+    if hint in (int, str, type(None)):
+        return type(value) is hint
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is tuple:
+        return isinstance(value, list) and len(value) == len(args) \
+            and all(map(_fits, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if origin in (Union, UnionType):
+        return any(_fits(value, arg) for arg in args)
+    raise TypeError(f"no JSON rule for the type {hint}")
+
+
 def from_json_object(cls, data):
-    """``cls(**data)`` for parsed JSON; a ValueError names the keys that do not fit ``cls``."""
+    """``cls(**data)`` for parsed JSON; a ValueError names the keys that do not fit ``cls``,
+    or the first value whose type is not its field's annotation."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} config is a JSON {type(data).__name__}, not an object")
     params = {f.name: f for f in fields(cls) if f.init}
@@ -32,10 +61,14 @@ def from_json_object(cls, data):
                 (("unknown", unknown), ("missing", missing)) if keys]
     if problems:
         raise ValueError(f"{cls.__name__} config: {', '.join(problems)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:   # a value of the wrong JSON type
-        raise ValueError(f"{cls.__name__} config: {exc}") from exc
+    hints = _field_types(cls)
+    for name, value in data.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            raise ValueError(f"{cls.__name__} config: {name} must be of type "
+                             f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                             f"got {json.dumps(value)}")
+    return cls(**data)
 
 
 def load_net(name_or_path: str | Path) -> NetProfile:

@@ -9,10 +9,11 @@ All traffic uses the frame format from :mod:`.frame`.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import threading
 import time
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, suppress
 
 import numpy as np
 
@@ -39,10 +40,12 @@ def _until(sock: socket.socket, deadline: float) -> socket.socket:
 
 
 class FramedSocket:
-    """Blocking framed message stream over one TCP connection."""
+    """Framed message stream over one TCP connection; every frame moves through
+    ``_exchange``, whose socket calls never wait (``MSG_DONTWAIT``): its selector does."""
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(True)   # with a timeout set, Python would poll before each call
         self.sock = sock
         self.dead = False
 
@@ -51,62 +54,122 @@ class FramedSocket:
         with suppress(OSError):
             self.sock.close()
 
-    def _recv_exact(self, n: int, deadline: float, timeout: float) -> bytearray:
-        """Read exactly ``n`` bytes straight into one new buffer by ``deadline``."""
-        buf = bytearray(n)
-        got = 0
-        with memoryview(buf) as view:
-            while got < n:
-                try:
-                    count = _until(self.sock, deadline).recv_into(view[got:])
-                except (socket.timeout, BlockingIOError):
-                    if got:   # the stream no longer starts at a frame boundary
-                        self.dead = True
-                    raise RecvTimeout(f"recv timed out after {timeout}s") from None
-                except OSError as exc:
-                    self.dead = True
-                    raise PeerDisconnected(f"connection failed: {exc}") from None
-                if not count:
-                    self.dead = True
-                    raise PeerDisconnected("peer closed the connection")
-                got += count
-        return buf
-
     def send_frame(self, tag: int, payload: bytes | memoryview,
                    timeout: float = DEFAULT_TIMEOUT) -> None:
         """Send header and payload in gathered writes, all within ``timeout`` seconds."""
-        if self.dead:
-            raise PeerDisconnected("connection already marked dead")
-        views = [memoryview(b) for b in encode_frame(tag, payload)]
-        deadline = time.monotonic() + timeout
-        try:
-            while views:
-                sent = _until(self.sock, deadline).sendmsg(views)
-                while views and sent >= len(views[0]):
-                    sent -= len(views.pop(0))
-                if views:
-                    views[0] = views[0][sent:]
-        except OSError as exc:
-            self.dead = True
-            raise PeerDisconnected(f"send failed: {exc}") from None
+        _exchange(self, encode_frame(tag, payload), None, timeout)
 
     def recv_frame(self, timeout: float = DEFAULT_TIMEOUT) -> tuple[int, bytearray]:
         """Receive one frame, header and payload together, within ``timeout`` seconds."""
-        if self.dead:
-            raise PeerDisconnected("connection already marked dead")
-        deadline = time.monotonic() + timeout
-        header = self._recv_exact(HEADER_SIZE, deadline, timeout)
-        try:   # a bad header, or a timeout after the header, leaves the stream out of step
-            tag, length = decode_header(header)
-            return tag, self._recv_exact(length, deadline, timeout)
-        except (WireProtocolError, RecvTimeout):
-            self.dead = True
-            raise
+        return _exchange(None, (), self, timeout)
+
+
+def _drop(sel: selectors.BaseSelector, sock: socket.socket, event: int) -> None:
+    """Stop waiting for ``event`` on ``sock``."""
+    events = sel.get_key(sock).events & ~event
+    if events:
+        sel.modify(sock, events)
+    else:
+        sel.unregister(sock)
+
+
+def _write_some(conn: FramedSocket, views: list[memoryview], dst: int | None) -> int:
+    """Write what the socket takes of ``views`` now, dropping what went out; returns
+    the byte count."""
+    try:
+        sent = count = conn.sock.sendmsg(views, (), socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        return 0
+    except OSError as exc:
+        conn.dead = True
+        raise PeerDisconnected(f"send failed: {exc}", rank=dst) from None
+    while views and count >= len(views[0]):
+        count -= len(views.pop(0))
+    if views:
+        views[0] = views[0][count:]
+    return sent
+
+
+def _read_some(conn: FramedSocket, view: memoryview, src: int | None) -> int:
+    """Read what has arrived into ``view`` (not empty); returns the byte count."""
+    try:
+        count = conn.sock.recv_into(view, 0, socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        return 0
+    except OSError as exc:
+        conn.dead = True
+        raise PeerDisconnected(f"connection failed: {exc}", rank=src) from None
+    if not count:
+        conn.dead = True
+        raise PeerDisconnected("peer closed the connection", rank=src)
+    return count
+
+
+def _exchange(out: FramedSocket | None, frame, inc: FramedSocket | None, timeout: float,
+              dst: int | None = None, src: int | None = None) -> tuple[int, bytearray] | None:
+    """Write ``frame`` (``encode_frame``'s buffers) to ``out`` while reading one frame from
+    ``inc``, on the calling thread; either side may be None, and both may be one link.
+
+    One selector loop, under one deadline ``timeout`` seconds away, serves whichever
+    socket is ready, so two peers writing frames larger than the socket buffers to
+    each other both make progress. Returns the incoming ``(tag, payload)``, or None
+    without ``inc``. A failure names ``dst`` if the write failed and ``src`` if the
+    read did. A corrupt header, or a timeout partway through a frame, marks that
+    link dead: its stream no longer starts at a frame boundary.
+    """
+    for conn, peer in ((out, dst), (inc, src)):
+        if conn is not None and conn.dead:
+            raise PeerDisconnected("connection already marked dead", rank=peer)
+    views = [memoryview(b) for b in frame]
+    reading = inc is not None
+    header = bytearray(HEADER_SIZE)
+    payload = None   # allocated once the header has been read and checked
+    buf, got, sent = memoryview(header), 0, 0
+    deadline = time.monotonic() + timeout
+    with selectors.PollSelector() as sel:   # unlike epoll, no kernel object per call
+        if views:
+            sel.register(out.sock, selectors.EVENT_WRITE)
+        if reading and views and inc is out:
+            sel.modify(inc.sock, selectors.EVENT_WRITE | selectors.EVENT_READ)
+        elif reading:
+            sel.register(inc.sock, selectors.EVENT_READ)
+        writable, readable = bool(views), False   # a write is tried before any wait
+        while True:
+            if writable:
+                sent += _write_some(out, views, dst)
+                if not views:
+                    _drop(sel, out.sock, selectors.EVENT_WRITE)
+            if readable:
+                got += _read_some(inc, buf[got:], src)
+                if payload is None and got == HEADER_SIZE:
+                    try:
+                        tag, length = decode_header(header)
+                    except WireProtocolError as exc:
+                        inc.dead, exc.rank = True, src
+                        raise
+                    payload = bytearray(length)
+                    buf, got = memoryview(payload), 0
+                if payload is not None and got == len(payload):
+                    reading = False
+                    _drop(sel, inc.sock, selectors.EVENT_READ)
+            if not (views or reading):
+                return None if inc is None else (tag, payload)
+            ready = sel.select(deadline - time.monotonic())
+            if not ready:
+                if views and sent:
+                    out.dead = True
+                if reading and (got or payload is not None):
+                    inc.dead = True
+                side, peer = ("recv", src) if reading else ("send", dst)
+                raise RecvTimeout(f"{side} timed out after {timeout}s", rank=peer)
+            writable = any(mask & selectors.EVENT_WRITE for _, mask in ready)
+            readable = any(mask & selectors.EVENT_READ for _, mask in ready)
 
 
 class TcpEndpoint:
     """Full-mesh peer handle with SimEndpoint's surface and the wall clock as its
-    clock; each frame sent or received must move within ``timeout`` seconds."""
+    clock; each frame sent or received must move within ``timeout`` seconds. Every
+    call runs on the caller's thread, and a failure names the peer it came from."""
 
     def __init__(self, rank: int, size: int, conns: dict[int, FramedSocket],
                  timeout: float = DEFAULT_TIMEOUT):
@@ -122,55 +185,40 @@ class TcpEndpoint:
     def advance(self, seconds: float) -> None:
         """Real time passes on its own; nothing to charge."""
 
-    @contextmanager
-    def _link(self, peer: int):
-        """Yield the connection to ``peer``; a failure on it names that peer."""
+    def _conn(self, peer: int) -> FramedSocket:
         try:
-            conn = self.conns[peer]
+            return self.conns[peer]
         except KeyError:
             raise ValueError(f"no connection to rank {peer}") from None
+
+    def _floats(self, src: int, tag: int, frame: tuple[int, bytearray]) -> np.ndarray:
+        """The payload of the frame received from ``src``, which must carry ``tag``."""
+        got_tag, payload = frame
+        if got_tag != tag:
+            raise TagMismatch(
+                f"rank {self.rank}: expected tag {tag} from rank {src}, got {got_tag}", rank=src)
         try:
-            yield conn
-        except CommunicationError as exc:
-            exc.rank = peer
+            return wire_to_floats(payload)
+        except WireProtocolError as exc:
+            exc.rank = src
             raise
 
-    def send(self, dst: int, tag: int, payload: np.ndarray) -> None:
-        data = floats_to_wire(payload)
-        with self._link(dst) as conn:
-            conn.send_frame(tag, data, self.timeout)
+    def send(self, dst: int, tag: int, payload: np.ndarray,
+             src: int | None = None) -> np.ndarray | None:
+        """Send ``payload`` to ``dst`` as one frame. With ``src``, the frame with the same
+        tag from ``src`` is read in the same selector loop and returned: ``sendrecv``."""
+        got = _exchange(self._conn(dst), encode_frame(tag, floats_to_wire(payload)),
+                        None if src is None else self._conn(src), self.timeout, dst, src)
+        return None if src is None else self._floats(src, tag, got)
 
     def recv(self, src: int, tag: int, timeout: float | None = None) -> np.ndarray:
-        with self._link(src) as conn:
-            got_tag, payload = conn.recv_frame(self.timeout if timeout is None else timeout)
-            if got_tag != tag:
-                raise TagMismatch(
-                    f"rank {self.rank}: expected tag {tag} from rank {src}, got {got_tag}")
-        return wire_to_floats(payload)
+        got = _exchange(None, (), self._conn(src),
+                        self.timeout if timeout is None else timeout, src=src)
+        return self._floats(src, tag, got)
 
     def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
-        """Send ``payload`` to ``dst`` while receiving the ``src`` message with the same tag.
-
-        A send blocks once the socket buffers fill, so the send runs on a
-        helper thread: two ranks sending large segments to each other would
-        otherwise wait on each other forever. A failed receive re-raises at
-        once, without waiting for the send.
-        """
-        errors = []
-
-        def send():
-            try:
-                self.send(dst, tag, payload)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        sender = threading.Thread(target=send, daemon=True)
-        sender.start()
-        incoming = self.recv(src, tag)
-        sender.join()
-        if errors:
-            raise errors[0]
-        return incoming
+        """Send ``payload`` to ``dst`` while receiving the ``src`` message with the same tag."""
+        return self.send(dst, tag, payload, src)
 
     def close(self) -> None:
         for conn in self.conns.values():

@@ -389,6 +389,44 @@ def test_config_file_with_wrong_values_exits_2(argv, config, tmp_path, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
+LAUNCH2 = ["launch", "--workers", "2", "--config"]
+BASE = {"global_batch": 4, "per_device_batch": 2, "workers": 2}
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (LAUNCH2, {**BASE, "base_lr": "0.1"}, "base_lr must be of type float, got \"0.1\""),
+    (LAUNCH2, {**BASE, "model_dims": [2, 0, 2]}, "every model_dims entry must be >= 1"),
+    (LAUNCH2, {**BASE, "model_dims": [2, 2.0, 2]}, "model_dims must be of type list[int]"),
+    (LAUNCH2, {**BASE, "iterations": True}, "iterations must be of type int, got true"),
+    (LAUNCH2, {**BASE, "aggregation": 1}, "aggregation must be of type str"),
+    (["sim", "scaling", "--net"], {"base_bandwidth": 940, "latency": 1e-4, "seed": 1.5},
+     "seed must be of type int"),
+    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": True}},
+     "work_per_sample must be of type dict[str, float]"),
+    (["sim", "thermal", "--thermal"], {**THERMAL, "tiers": [[42.0, 1.1, 3.0]]},
+     "tiers must be of type list[tuple[float, float]]"),
+    (["sim", "thermal", "--thermal"], {**THERMAL, "temp": "hot"}, "temp must be of type float | None"),
+], ids=["launch-string-lr", "launch-zero-width-layer", "launch-float-dim", "launch-bool-iterations",
+        "launch-int-aggregation", "sim-float-seed", "sim-bool-work", "thermal-long-tier",
+        "thermal-string-temp"])
+def test_config_values_are_checked_against_their_field_types(argv, config, message, tmp_path,
+                                                             capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_an_int_is_a_float_and_null_fits_an_optional_field(tmp_path):
+    path = tmp_path / "thermal.json"
+    path.write_text(json.dumps({**THERMAL, "ambient": 25, "temp": None}))
+    thermal = load_thermal(path)
+    assert (thermal.ambient, thermal.temp) == (25, 25)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "base_lr": 1, "iterations": 1}))
+    assert TrainingConfig.from_json(cfg_path).base_lr == 1
+
+
 @pytest.mark.parametrize("bad", [{"baseline_t_comp_s": 0, "idle_s": 0}, {"idle_s": -20},
                                  {"fan_cool_multiplier": 0}],
                          ids=["no-time-passes", "negative-idle", "no-fan-cooling"])
@@ -414,6 +452,17 @@ def test_sim_thermal_with_an_infinite_duration_exits_2(tmp_path):
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == EXIT_USAGE
     assert "duration must be finite and >= 0" in proc.stderr
+
+
+def test_sim_thermal_with_a_duration_over_the_row_cap_exits_2(tmp_path):
+    # 1e9 s is about 43 million cycles of the shipped preset; a subprocess, so a
+    # run that starts them fails the test instead of hanging it
+    proc = subprocess.run([sys.executable, "-m", "ringtrain", "sim", "thermal",
+                           "--duration", "1e9", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert "over the 100000 a thermal run may write" in proc.stderr
+    assert not (tmp_path / "thermal.csv").exists()
 
 
 def test_probe_sim_seed_env_matches_flag(monkeypatch, capsys):

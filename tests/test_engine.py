@@ -94,6 +94,13 @@ def test_k1_matches_manual_single_process_sgd_bitwise():
     assert len(metrics) == 3
 
 
+def local_gradient(cfg, dataset, rank):
+    """Rank ``rank``'s own gradient at iteration 0: a fresh model's forward/backward on its shard."""
+    model = RealModel(cfg.model_dims, seed=cfg.seed)
+    _, cache = model.forward(*shard_batch(dataset, 0, rank, cfg.workers, cfg.per_device_batch))
+    return model.backward(cache)
+
+
 def test_duplicated_data_mean_equals_local_gradient():
     # identical rows everywhere => every rank computes the same local gradient
     cfg = config(2, 4, iterations=1, seed=3)
@@ -106,7 +113,7 @@ def test_duplicated_data_mean_equals_local_gradient():
 
     cluster.run(lambda ep: workers[ep.rank].train_step(0))
     w0 = workers[0]
-    for local, mean in zip(w0.last_local_grads, w0.last_mean_grads):
+    for local, mean in zip(local_gradient(cfg, w0.dataset, 0), w0.model.grads):
         np.testing.assert_allclose(mean, local, rtol=1e-6, atol=1e-8)
 
 
@@ -115,10 +122,10 @@ def test_aggregated_gradient_is_mean_of_locals_three_ranks():
     cluster = SimCluster(3, ETH)
     workers = [Worker(cfg, ep) for ep in cluster.endpoints]
     cluster.run(lambda ep: workers[ep.rank].train_step(0))
-    locals_ = [w.last_local_grads for w in workers]
+    locals_ = [local_gradient(cfg, w.dataset, rank) for rank, w in enumerate(workers)]
     for li in range(len(workers[0].model.weights)):
         central = np.mean([lg[li].astype(np.float64) for lg in locals_], axis=0)
-        got = workers[0].last_mean_grads[li]
+        got = workers[0].model.grads[li]
         scale = max(1.0, float(np.abs(central).max()))
         assert float(np.abs(got - central).max()) <= 1e-6 * scale
 

@@ -69,7 +69,7 @@ def test_mean_gradient_invariant_under_sample_duplication():
     x = rng.normal(size=(3, 4)).astype(np.float32)
     y = np.array([0, 1, 2])
     _, cache = model.forward(x, y)
-    g1 = model.backward(cache)
+    g1 = [g.copy() for g in model.backward(cache)]   # the next backward overwrites the views
     _, cache2 = model.forward(np.vstack([x, x]), np.concatenate([y, y]))
     g2 = model.backward(cache2)
     for a, b in zip(g1, g2):
@@ -145,3 +145,19 @@ def test_gradient_chunks_one_per_parametric_layer():
     assert len(grads) == 3
     assert [g.shape for g in grads] == [(5, 7), (7, 6), (6, 2)]
     assert all(np.isfinite(g).all() for g in grads)
+
+
+def test_layers_are_views_of_one_flat_weight_and_one_flat_gradient_array():
+    model = RealModel([5, 7, 6, 2], seed=6)
+    assert model.flat_weights.size == model.flat_grads.size == model.param_count() == 89
+    for views, flat in ((model.weights, model.flat_weights), (model.grads, model.flat_grads)):
+        assert all(np.shares_memory(v, flat) for v in views)
+        assert b"".join(v.tobytes() for v in views) == flat.tobytes()
+    x = np.random.default_rng(6).normal(size=(4, 5)).astype(np.float32)
+    _, cache = model.forward(x, np.array([0, 1, 0, 1]))
+    grads = model.backward(cache)
+    assert grads is model.grads and model.flat_grads.any()
+    # the in-place update gives the bytes of the formula written out
+    expected = [w - 0.05 * (g + 0.0002 * w) for w, g in zip(model.weights, grads)]
+    model.sgd_update(grads, lr=0.05, weight_decay=0.0002)
+    assert [w.tobytes() for w in model.weights] == [e.tobytes() for e in expected]

@@ -303,6 +303,125 @@ class TestTcpSendRecv:
         e0.close()
 
 
+def read_bytes(conn, n):
+    """Read exactly ``n`` raw bytes from a FramedSocket's socket, ignoring frames."""
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            count = conn.sock.recv_into(view[got:])
+            assert count, "peer closed early"
+            got += count
+    return bytes(buf)
+
+
+class TestSelectorStep:
+    """Faults inside ``TcpEndpoint.sendrecv``. With three ranks, rank 0 sends to rank 1
+    and receives from rank 2, so an error's rank tells which side failed."""
+
+    def test_a_ring_allreduce_starts_no_thread(self, monkeypatch):
+        e0, e1 = tcp_mesh(2)
+        n = 4 * 2 ** 20   # 8 MB segments: every step waits on full socket buffers
+        payloads = [np.arange(n, dtype=np.float32) * (r + 1) for r in range(2)]
+        go, results = threading.Event(), {}
+
+        def rank1():
+            go.wait(5.0)
+            results[1] = ring_allreduce(payloads[1], CommGroup(e1))
+
+        peer = threading.Thread(target=rank1, daemon=True)
+        peer.start()
+        started = []
+
+        def refuse(thread):
+            started.append(thread)
+            raise RuntimeError("a ring step started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        go.set()
+        try:
+            results[0] = ring_allreduce(payloads[0], CommGroup(e0))
+            peer.join(timeout=10.0)
+        finally:
+            monkeypatch.undo()
+            e0.close(), e1.close()
+        assert started == [] and not peer.is_alive()
+        expected = np.arange(n, dtype=np.float32) * 3
+        assert (results[0] == expected).all() and (results[1] == expected).all()
+
+    def test_a_peer_closing_halfway_through_our_send_is_named(self):
+        e0, e1, e2 = tcp_mesh(3)
+        e0.timeout = 3.0
+        payload = np.zeros(8 * 2 ** 20, np.float32)   # 32 MB, beyond the socket buffers
+
+        def read_some_then_close():
+            read_bytes(e1.conns[0], 2 ** 20)
+            e1.close()
+
+        closer = threading.Thread(target=read_some_then_close, daemon=True)
+        closer.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(PeerDisconnected) as info:
+                e0.sendrecv(1, 2, 5, payload)
+        finally:
+            closer.join(timeout=5.0)
+            for ep in (e0, e1, e2):
+                ep.close()
+        assert info.value.rank == 1
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_a_peer_closing_halfway_through_its_frame_is_named(self):
+        e0, e1, e2 = tcp_mesh(3)
+        e0.timeout = 3.0
+        frame = b"".join(encode_frame(5, floats_to_wire(np.ones(1000, np.float32))))
+        e2.conns[0].sock.sendall(frame[:100])
+        e2.close()
+        try:
+            with pytest.raises(PeerDisconnected) as info:
+                e0.sendrecv(1, 2, 5, np.ones(4, np.float32))
+            assert e0.conns[2].dead and not e0.conns[1].dead
+        finally:
+            for ep in (e0, e1, e2):
+                ep.close()
+        assert info.value.rank == 2
+
+    def test_a_silent_peer_times_out_and_kills_the_link(self):
+        e0, e1 = tcp_mesh(2)
+        e0.timeout = 0.5
+        payload = np.zeros(8 * 2 ** 20, np.float32)   # part of it stays unsent
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(RecvTimeout) as info:
+                e0.sendrecv(1, 1, 5, payload)
+            elapsed = time.perf_counter() - t0
+            assert e0.conns[1].dead
+        finally:
+            e0.close(), e1.close()
+        assert info.value.rank == 1
+        assert 0.5 <= elapsed < 1.5
+
+    @pytest.mark.parametrize("incoming,error,dead", [
+        (b"".join(encode_frame(6, floats_to_wire(np.ones(4, np.float32)))), TagMismatch, False),
+        (b"JUNK" + bytes(8), WireProtocolError, True),
+        (FRAME_MAGIC + struct.pack(">II", 5, MAX_PAYLOAD_BYTES + 1), WireProtocolError, True),
+        (b"".join(encode_frame(5, b"abcdef")), WireProtocolError, False),
+    ], ids=["wrong-tag", "bad-magic", "oversized-length", "not-floats"])
+    def test_a_bad_incoming_frame_names_its_sender(self, incoming, error, dead):
+        e0, e1, e2 = tcp_mesh(3)
+        e0.timeout = 3.0
+        e2.conns[0].sock.sendall(incoming)
+        try:
+            with pytest.raises(error) as info:
+                e0.sendrecv(1, 2, 5, np.ones(4, np.float32))
+            assert e0.conns[2].dead == dead and not e0.conns[1].dead
+            assert (e1.recv(0, 5) == 1.0).all()   # our frame went out whole
+        finally:
+            for ep in (e0, e1, e2):
+                ep.close()
+        assert info.value.rank == 2
+
+
 class TestRendezvousMesh:
     def test_mesh_send_recv_and_tag_mismatch(self):
         endpoints = tcp_mesh(3)
