@@ -182,10 +182,3 @@ def ring_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
 def tree_allreduce(data: np.ndarray, group: CommGroup) -> np.ndarray:
     """Elementwise sum across all ranks via binomial reduce + broadcast, in place."""
     return _allreduce(data, group, tree_steps(group.rank, group.size), 1)
-
-
-def allreduce_chunkwise(grads: list[np.ndarray], group: CommGroup) -> list[np.ndarray]:
-    """One in-place ring allreduce invocation per chunk, in chunk order; returns ``grads``."""
-    for chunk in grads:
-        ring_allreduce(chunk, group)
-    return grads

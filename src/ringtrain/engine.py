@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectives import (AGGREGATIONS, CommGroup, allreduce_chunkwise, ring_allreduce,
-                          tree_allreduce)
+from .collectives import AGGREGATIONS, CommGroup, ring_allreduce, tree_allreduce
 from .data import make_blobs
 from .errors import CommunicationError, RingtrainError
 from .model import RealModel
@@ -147,15 +146,14 @@ class Worker:
         self.lr = scale_lr(config.base_lr, config.global_batch, config.lr_scaling)
 
     def _aggregate(self) -> None:
-        """Sum the model's gradients over all ranks, in place."""
+        """Sum the model's gradients over all ranks, in place: the flat array in one
+        invocation if the strategy packs, else one invocation per layer."""
         collective, packed = AGGREGATIONS[self.config.aggregation]
-        if not packed:
-            allreduce_chunkwise(self.model.grads, self.group)
-            return
         flat = self.model.flat_grads
-        copy_time = flat.nbytes / self.compute.pack_bandwidth   # the modeled pack, then unpack
-        self.endpoint.advance(copy_time)
-        (ring_allreduce if collective == "ring" else tree_allreduce)(flat, self.group)
+        copy_time = flat.nbytes / self.compute.pack_bandwidth if packed else 0.0
+        self.endpoint.advance(copy_time)   # the modeled pack, then unpack
+        for chunk in [flat] if packed else self.model.grads:
+            (ring_allreduce if collective == "ring" else tree_allreduce)(chunk, self.group)
         self.endpoint.advance(copy_time)
 
     def train_step(self, iteration: int) -> IterationMetrics:
@@ -182,7 +180,7 @@ class Worker:
             raise TrainingError(f"{message}: {exc}") from exc
 
         self.model.flat_grads /= cfg.workers   # the mean, in the model's gradient views
-        self.model.sgd_update(self.model.grads, lr=self.lr, weight_decay=cfg.weight_decay)
+        self.model.sgd_update(lr=self.lr, weight_decay=cfg.weight_decay)
         return IterationMetrics(iteration, rank, t_comp, t_comm, float(loss))
 
     def run(self) -> list[IterationMetrics]:

@@ -123,30 +123,21 @@ class RealModel:
                 delta = (delta @ self.weights[i].T) * cache.masks[i - 1]
         return self.grads
 
-    def sgd_update(self, grads: list[np.ndarray], lr: float, weight_decay: float = 0.0) -> None:
-        """w <- w - lr * (g + weight_decay * w), elementwise and in place."""
-        if len(grads) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} gradient chunks, got {len(grads)}")
-        for w, g in zip(self.weights, grads):
-            if g.shape != w.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match weight {w.shape}")
-            step = w * weight_decay   # the same float operations as the formula, one buffer
-            step += g
-            step *= lr
-            w -= step
+    def sgd_update(self, lr: float, weight_decay: float = 0.0) -> None:
+        """w <- w - lr * (g + weight_decay * w) over the flat arrays, elementwise and in place."""
+        step = self.flat_weights * weight_decay   # the formula's float operations, one buffer
+        step += self.flat_grads
+        step *= lr
+        self.flat_weights -= step
 
     def clone(self, dtype=None) -> "RealModel":
         """Copy of this model, optionally re-cast (float64 shadow for checks)."""
         other = RealModel(self.dims, self.seed, dtype=dtype or self.dtype)
-        for mine, theirs in zip(other.weights, self.weights):
-            mine[...] = theirs
+        other.flat_weights[...] = self.flat_weights
         return other
 
     def weight_checksum(self) -> str:
-        h = hashlib.sha256()
-        for w in self.weights:
-            h.update(np.ascontiguousarray(w).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.flat_weights.tobytes()).hexdigest()
 
 
 def finite_difference_check(model: RealModel, inputs: np.ndarray, labels: np.ndarray,

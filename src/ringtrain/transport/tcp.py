@@ -32,13 +32,6 @@ TAG_PROBE_END = 0xFFFF0011
 TAG_PROBE_ACK = 0xFFFF0012
 
 
-def _until(sock: socket.socket, deadline: float) -> socket.socket:
-    """Let the next call on ``sock`` wait only for the time left before ``deadline``;
-    with none left it polls once, raising ``BlockingIOError`` if it would wait."""
-    sock.settimeout(max(0.0, deadline - time.monotonic()))
-    return sock
-
-
 class FramedSocket:
     """Framed message stream over one TCP connection; every frame moves through
     ``_exchange``, whose socket calls never wait (``MSG_DONTWAIT``): its selector does."""
@@ -225,19 +218,56 @@ class TcpEndpoint:
             conn.close()
 
 
-def _listen(host: str, port: int, backlog: int, timeout: float) -> socket.socket:
-    """A listening socket whose accepts wait ``timeout`` seconds."""
-    server = socket.create_server((host, port), backlog=backlog)
-    server.settimeout(timeout)
-    return server
-
-
-def _accept(server: socket.socket, message: str) -> socket.socket:
-    """Accept one connection; a timeout raises ``RecvTimeout(message)``."""
+def _accept(server: socket.socket, message: str, timeout=DEFAULT_TIMEOUT) -> socket.socket:
+    """Accept one connection within ``timeout`` seconds, else raise ``RecvTimeout(message)``."""
+    server.settimeout(max(0.0, timeout))
     try:
         return server.accept()[0]
     except (socket.timeout, BlockingIOError):   # the latter: no time was left
         raise RecvTimeout(message) from None
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``: a type, or a tuple of kinds for a list."""
+    if isinstance(kind, tuple):
+        return type(value) is list and len(value) == len(kind) and all(map(_fits, value, kind))
+    return type(value) is kind   # so that true is no int
+
+
+def _read_control(fs: FramedSocket, tag: int, timeout: float, what: str, fields: dict) -> dict:
+    """Read one control frame within ``timeout`` seconds; returns its JSON object, which
+    must hold ``fields`` of their kinds (see ``_fits``), or raises a ``ProtocolError``."""
+    got, payload = fs.recv_frame(timeout)
+    if got != tag:
+        raise TagMismatch(f"expected {what}, got tag {got}")
+    try:
+        obj = json.loads(payload)
+    except (ValueError, RecursionError):   # not UTF-8, not JSON, or nested too deep
+        obj = None
+    if not (isinstance(obj, dict) and all(_fits(obj.get(k), v) for k, v in fields.items())):
+        raise ProtocolError(f"malformed {what}: {bytes(payload[:80])!r}")
+    return obj
+
+
+def _admit(server: socket.socket, tag: int, what: str, fields: dict, ranks: range,
+           timeout: float, late: str, stack: ExitStack) -> dict[int, tuple[FramedSocket, dict]]:
+    """Accept one connection from each rank of ``ranks``, all within ``timeout`` seconds,
+    each opening with a ``_read_control`` frame that names a rank of ``ranks`` not seen
+    before; returns each rank's link and frame. Accepted sockets go on ``stack``. Missing
+    the deadline raises ``RecvTimeout(late)``, its ``{}`` filled with the count admitted."""
+    deadline = time.monotonic() + timeout
+    admitted = {}
+    while len(admitted) < len(ranks):
+        msg = late.format(len(admitted))
+        fs = FramedSocket(stack.enter_context(_accept(server, msg, deadline - time.monotonic())))
+        try:
+            obj = _read_control(fs, tag, deadline - time.monotonic(), what, fields)
+        except RecvTimeout:
+            raise RecvTimeout(msg) from None
+        if obj["rank"] not in ranks or obj["rank"] in admitted:
+            raise ProtocolError(f"unexpected {what} from rank {obj['rank']}", rank=obj["rank"])
+        admitted[obj["rank"]] = fs, obj
+    return admitted
 
 
 class _ServerThread(threading.Thread):
@@ -269,38 +299,21 @@ class Coordinator(_ServerThread):
     """Collects worker registrations and broadcasts the address table."""
 
     def __init__(self, host: str, port: int, size: int, timeout: float = DEFAULT_TIMEOUT):
-        super().__init__(_listen(host, port, size, timeout))
+        super().__init__(socket.create_server((host, port), backlog=size))
         self.size = size
         self.timeout = timeout
 
     def serve(self) -> None:
         """Accept and read all registrations within ``timeout``, then send everyone
         the rank -> address table."""
-        conns: dict[int, FramedSocket] = {}
-        table: dict[str, tuple[str, int]] = {}
-        deadline = time.monotonic() + self.timeout
-        # every accepted socket is closed on the way out, registered or not
-        with ExitStack() as accepted:
-            while len(conns) < self.size:
-                late = f"rendezvous timed out with {len(conns)}/{self.size} workers"
-                fs = FramedSocket(accepted.enter_context(
-                    _accept(_until(self._server, deadline), late)))
-                try:
-                    tag, payload = fs.recv_frame(max(0.0, deadline - time.monotonic()))
-                except RecvTimeout:
-                    raise RecvTimeout(late) from None
-                if tag != TAG_REGISTER:
-                    raise TagMismatch(f"coordinator expected registration, got tag {tag}")
-                reg = json.loads(payload.decode())
-                rank = int(reg["rank"])
-                if not 0 <= rank < self.size:
-                    raise ValueError(f"registration for out-of-range rank {rank}")
-                if rank in conns:
-                    raise ProtocolError(f"rank {rank} registered twice", rank=rank)
-                conns[rank] = fs
-                table[str(rank)] = (reg["host"], int(reg["port"]))
-            payload = json.dumps(table).encode()
-            for fs in conns.values():
+        with ExitStack() as accepted:   # every accepted socket is closed on the way out
+            workers = _admit(self._server, TAG_REGISTER, "registration",
+                             {"rank": int, "host": str, "port": int}, range(self.size),
+                             self.timeout, f"rendezvous timed out with {{}}/{self.size} workers",
+                             accepted)
+            payload = json.dumps({str(rank): (reg["host"], reg["port"])
+                                  for rank, (_, reg) in workers.items()}).encode()
+            for fs, _ in workers.values():
                 fs.send_frame(TAG_TABLE, payload, self.timeout)
 
 
@@ -310,7 +323,7 @@ def _connect(address: tuple[str, int], timeout: float, what: str) -> socket.sock
     except socket.timeout:
         raise RecvTimeout(f"connecting to {what} at {address[0]}:{address[1]} "
                           f"timed out") from None
-    except OSError as exc:
+    except (OSError, ValueError, OverflowError) as exc:   # or a host or port out of range
         raise PeerDisconnected(f"cannot reach {what} at "
                                f"{address[0]}:{address[1]}: {exc}") from None
 
@@ -319,43 +332,31 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
                listen_host: str = "127.0.0.1",
                timeout: float = DEFAULT_TIMEOUT) -> TcpEndpoint:
     """Join the group and build the full mesh; returns a ready endpoint whose
-    every send and receive is bounded by the same ``timeout``.
+    every send and receive is bounded by the same ``timeout``, as is the wait for
+    the hellos of all higher ranks.
 
     The listener and the coordinator connection are closed on return; if the
     join fails, every peer connection opened so far is closed as well.
     """
-    with _listen(listen_host, 0, size, timeout) as listener, ExitStack() as peers:
-        listen_addr = listener.getsockname()
+    with socket.create_server((listen_host, 0), backlog=size) as listener, ExitStack() as peers:
+        host, port = listener.getsockname()[:2]
 
         with _connect(coordinator, timeout, "coordinator") as coord_sock:
             coord = FramedSocket(coord_sock)
             coord.send_frame(TAG_REGISTER, json.dumps(
-                {"rank": rank, "host": listen_addr[0], "port": listen_addr[1]}).encode(),
-                timeout)
-            tag, payload = coord.recv_frame(timeout)
-        if tag != TAG_TABLE:
-            raise TagMismatch(f"expected address table, got tag {tag}")
-        table = {int(r): (h, p) for r, (h, p) in json.loads(payload.decode()).items()}
+                {"rank": rank, "host": host, "port": port}).encode(), timeout)
+            table = _read_control(coord, TAG_TABLE, timeout, f"address table for rank {rank}",
+                                  {str(r): (str, int) for r in range(size)})
 
         conns: dict[int, FramedSocket] = {}
-        # dial lower ranks, announce who we are
-        for peer in range(rank):
-            fs = FramedSocket(peers.enter_context(
-                _connect(table[peer], timeout, f"rank {peer}")))
-            fs.send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode(), timeout)
-            conns[peer] = fs
-        # accept higher ranks
-        for _ in range(size - 1 - rank):
-            fs = FramedSocket(peers.enter_context(
-                _accept(listener, f"rank {rank}: timed out waiting for peers")))
-            hello_tag, hello = fs.recv_frame(timeout)
-            if hello_tag != TAG_HELLO:
-                raise TagMismatch(f"expected hello, got tag {hello_tag}")
-            peer = int(json.loads(hello.decode())["rank"])
-            if not rank < peer < size or peer in conns:
-                raise ProtocolError(f"rank {rank}: unexpected hello from rank {peer}",
-                                    rank=peer)
-            conns[peer] = fs
+        for peer in range(rank):   # dial lower ranks, announce who we are
+            conns[peer] = FramedSocket(peers.enter_context(
+                _connect(tuple(table[str(peer)]), timeout, f"rank {peer}")))
+            conns[peer].send_frame(TAG_HELLO, json.dumps({"rank": rank}).encode(), timeout)
+        hellos = _admit(listener, TAG_HELLO, f"hello to rank {rank}", {"rank": int},
+                        range(rank + 1, size), timeout,
+                        f"rank {rank}: timed out waiting for peers", peers)
+        conns.update((peer, fs) for peer, (fs, _) in hellos.items())
         peers.pop_all()
     return TcpEndpoint(rank, size, conns, timeout)
 
@@ -388,7 +389,7 @@ def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.T
     session, whose failure it then holds as ``error`` (a ``CommunicationError``,
     or None).
     """
-    thread = _ProbeServer(_listen(host, port, 1, DEFAULT_TIMEOUT))
+    thread = _ProbeServer(socket.create_server((host, port), backlog=1))
     thread.start()
     return thread.address, thread
 def tcp_probe_client(server: tuple[str, int], seconds: float,

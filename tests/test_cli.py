@@ -186,7 +186,9 @@ def test_launch_manifest_records_the_worker_thread_counts(tmp_path, monkeypatch,
                                           "MKL_NUM_THREADS": "5"}
 
 
-def test_worker_exits_3_on_an_oversized_frame_length(tmp_path, capsys):
+def worker_against_a_bad_table(tmp_path, capsys, table):
+    """Run rank 0 of two against a stand-in coordinator that takes the registration and
+    answers with the raw bytes ``table``; returns the exit code and stderr."""
     cfg_path = tmp_path / "cfg.json"
     TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
                    iterations=1, seed=0).to_json(cfg_path)
@@ -194,10 +196,9 @@ def test_worker_exits_3_on_an_oversized_frame_length(tmp_path, capsys):
     host, port = coordinator.getsockname()
 
     def corrupt_table():
-        # take the registration, then answer with a header that claims 4 GiB
         with coordinator, coordinator.accept()[0] as sock:
             FramedSocket(sock).recv_frame(5.0)
-            sock.sendall(FRAME_MAGIC + struct.pack(">II", 0xFFFF0002, 0xFFFFFFFF))
+            sock.sendall(table)
             sock.recv(1)   # hold the connection until the worker closes it
 
     server = threading.Thread(target=corrupt_table)
@@ -208,8 +209,26 @@ def test_worker_exits_3_on_an_oversized_frame_length(tmp_path, capsys):
     server.join(timeout=5.0)
     assert not server.is_alive()
     assert time.perf_counter() - t0 < 2.0
+    return code, capsys.readouterr().err
+
+
+def test_worker_exits_3_on_an_oversized_frame_length(tmp_path, capsys):
+    # a header that claims 4 GiB
+    code, err = worker_against_a_bad_table(
+        tmp_path, capsys, FRAME_MAGIC + struct.pack(">II", 0xFFFF0002, 0xFFFFFFFF))
     assert code == EXIT_COMM
-    assert "exceeds" in capsys.readouterr().err
+    assert err.startswith("communication failure:") and "exceeds" in err
+
+
+@pytest.mark.parametrize("table", [
+    b"not json", b'[["127.0.0.1", 1]]', b'{"0": "127.0.0.1:1", "1": "127.0.0.1:2"}',
+    b'{"0": ["127.0.0.1"], "1": ["127.0.0.1", 2]}', b'{"1": ["127.0.0.1", 2]}',
+], ids=["not-json", "a-list", "string-entries", "short-entry", "without-rank-0"])
+def test_worker_exits_3_on_a_malformed_address_table(tmp_path, capsys, table):
+    code, err = worker_against_a_bad_table(
+        tmp_path, capsys, FRAME_MAGIC + struct.pack(">II", 0xFFFF0002, len(table)) + table)
+    assert code == EXIT_COMM
+    assert err.startswith("communication failure: malformed address table for rank 0")
 
 
 def test_launch_k1_equals_direct_training(tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ringtrain.collectives import (CommGroup, allreduce_chunkwise, pack,
-                                   ring_allreduce, ring_steps, segment_bounds,
-                                   tree_allreduce, tree_steps, unpack)
+from ringtrain.collectives import (CommGroup, pack, ring_allreduce, ring_steps,
+                                   segment_bounds, tree_allreduce, tree_steps, unpack)
+from ringtrain.engine import TrainingConfig, Worker
 from ringtrain.errors import CommunicationError, LayoutError, ProtocolError
 from ringtrain.profiles import build_profile
 from ringtrain.transport.net import NetProfile
@@ -274,24 +274,27 @@ class TestChunkwise:
         payloads = [rng.normal(size=n).astype(np.float32) for _ in range(k)]
 
         def fn(group, buf, ep):
-            chunked = allreduce_chunkwise([payloads[group.rank].copy()], group)
+            chunked = ring_allreduce(payloads[group.rank].copy(), group)
             packed = ring_allreduce(pack([payloads[group.rank].copy()]), group)
-            return chunked[0], unpack(packed, [(n,)])[0]
+            return chunked, unpack(packed, [(n,)])[0]
 
         for chunked, packed in sim_collective(k, lambda r: None, fn):
             assert (chunked == packed).all()
 
     def test_alexnet_profile_invocation_count(self):
-        profile = build_profile("AlexNet")
-        small = [max(1, n // 100000) for n in profile.chunk_elems]
+        # a chunk-wise worker whose model has one layer per AlexNet chunk
+        layers = len(build_profile("AlexNet").chunk_elems)
+        cfg = TrainingConfig(global_batch=4, per_device_batch=2, workers=2, iterations=1,
+                             aggregation="ring_chunkwise",
+                             model_dims=[2] + [3] * (layers - 1) + [2])
+        cluster = SimCluster(2, NET)
+        workers = [Worker(cfg, ep) for ep in cluster.endpoints]
 
-        def fn(group, buf, ep):
-            grads = [np.ones(n, np.float32) for n in small]
-            allreduce_chunkwise(grads, group)
-            return group.invocations
+        def step(ep):
+            workers[ep.rank].train_step(0)
+            return workers[ep.rank].group.invocations
 
-        counts = sim_collective(2, lambda r: None, fn)
-        assert counts == [16, 16]
+        assert cluster.run(step) == [layers, layers] == [16, 16]
 
     def test_three_rank_two_chunks_vs_central(self):
         k = 3
@@ -301,7 +304,7 @@ class TestChunkwise:
         central = [np.sum([cs[i] for cs in chunk_sets], axis=0) for i in range(2)]
 
         def fn(group, buf, ep):
-            return allreduce_chunkwise([c.copy() for c in chunk_sets[group.rank]], group)
+            return [ring_allreduce(c.copy(), group) for c in chunk_sets[group.rank]]
 
         for chunks in sim_collective(k, lambda r: None, fn):
             for got, want in zip(chunks, central):

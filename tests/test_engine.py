@@ -87,9 +87,9 @@ def test_k1_matches_manual_single_process_sgd_bitwise():
     for it in range(cfg.iterations):
         x, y = shard_batch(dataset, it, 0, 1, 8)
         _, cache = model.forward(x, y)
-        grads = model.backward(cache)
-        grads = [g / 1 for g in grads]
-        model.sgd_update(grads, lr=cfg.base_lr, weight_decay=cfg.weight_decay)
+        model.backward(cache)
+        model.flat_grads /= 1
+        model.sgd_update(lr=cfg.base_lr, weight_decay=cfg.weight_decay)
     assert worker.model.weight_checksum() == model.weight_checksum()
     assert len(metrics) == 3
 

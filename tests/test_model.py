@@ -93,24 +93,22 @@ def test_shape_errors():
         model.forward(np.zeros((2, 4), np.float32), np.array([0, 1]))
     with pytest.raises(ValueError):
         model.forward(np.zeros((2, 3), np.float32), np.array([0]))
-    with pytest.raises(ValueError):
-        model.sgd_update([np.zeros((2, 2), np.float32)], lr=0.1)
 
 
 class TestSgdUpdate:
     def test_zero_lr_keeps_weights(self):
         model = RealModel([3, 2], seed=5)
         before = [w.copy() for w in model.weights]
-        grads = [np.ones_like(w) for w in model.weights]
-        model.sgd_update(grads, lr=0.0, weight_decay=0.5)
+        model.flat_grads[...] = 1.0
+        model.sgd_update(lr=0.0, weight_decay=0.5)
         for w, b in zip(model.weights, before):
             assert (w == b).all()
 
     def test_zero_grads_zero_decay_keeps_weights(self):
         model = RealModel([3, 2], seed=5)
         before = [w.copy() for w in model.weights]
-        model.sgd_update([np.zeros_like(w) for w in model.weights],
-                         lr=0.1, weight_decay=0.0)
+        model.flat_grads[...] = 0.0
+        model.sgd_update(lr=0.1, weight_decay=0.0)
         for w, b in zip(model.weights, before):
             assert (w == b).all()
 
@@ -118,8 +116,8 @@ class TestSgdUpdate:
         # w=1.0, g=0.5, lr=0.01, wd=0.0002 -> 1.0 - 0.01*(0.5 + 0.0002*1.0)
         model = RealModel([1, 1], seed=0)
         model.weights[0][:] = 1.0
-        model.sgd_update([np.full((1, 1), 0.5, np.float32)],
-                         lr=0.01, weight_decay=0.0002)
+        model.grads[0][:] = 0.5
+        model.sgd_update(lr=0.01, weight_decay=0.0002)
         assert model.weights[0][0, 0] == pytest.approx(0.994998, abs=1e-9)
 
 
@@ -131,7 +129,8 @@ def test_seed_determinism_over_iterations():
         y = rng.integers(0, 3, size=8)
         for _ in range(10):
             _, cache = model.forward(x, y)
-            model.sgd_update(model.backward(cache), lr=0.05, weight_decay=0.0002)
+            model.backward(cache)
+            model.sgd_update(lr=0.05, weight_decay=0.0002)
         return model.weight_checksum()
 
     assert run() == run()
@@ -159,5 +158,5 @@ def test_layers_are_views_of_one_flat_weight_and_one_flat_gradient_array():
     assert grads is model.grads and model.flat_grads.any()
     # the in-place update gives the bytes of the formula written out
     expected = [w - 0.05 * (g + 0.0002 * w) for w, g in zip(model.weights, grads)]
-    model.sgd_update(grads, lr=0.05, weight_decay=0.0002)
+    model.sgd_update(lr=0.05, weight_decay=0.0002)
     assert [w.tobytes() for w in model.weights] == [e.tobytes() for e in expected]

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from ringtrain.collectives import CommGroup, ring_allreduce, tree_allreduce
-from ringtrain.errors import (PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch,
-                              WireProtocolError)
+from ringtrain.errors import (CommunicationError, PeerDisconnected, ProtocolError,
+                              RecvTimeout, TagMismatch, WireProtocolError)
 from ringtrain.transport.frame import (FRAME_MAGIC, MAX_PAYLOAD_BYTES, decode_header,
                                        encode_frame, floats_to_wire, wire_to_floats)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
@@ -215,6 +215,42 @@ def no_unclosed_sockets():
         yield
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def joining(coordinator, rank, size, timeout=5.0):
+    """Start ``rank``'s rendezvous on a thread; returns the thread and a list that
+    receives the type, rank and message of its failure."""
+    failures = []
+
+    def join():
+        try:
+            rendezvous(coordinator, rank, size, timeout=timeout).close()
+        except CommunicationError as exc:   # not exc: its frames would keep a leak alive
+            failures.append((type(exc), exc.rank, str(exc)))
+
+    thread = threading.Thread(target=join)
+    thread.start()
+    return thread, failures
+
+
+def control_frame(tag, frame):
+    """``frame`` (a JSON value, raw bytes or a ``(tag, frame)`` pair) as ``(tag, payload)``."""
+    tag, frame = frame if isinstance(frame, tuple) else (tag, frame)
+    return tag, frame if isinstance(frame, bytes) else json.dumps(frame).encode()
+
+
+def send_control(address, tag, frames):
+    """Send each of ``frames`` (see ``control_frame``) to ``address`` on a connection of
+    its own; returns the connections, still open."""
+    links = []
+    for frame in frames:
+        links.append(FramedSocket(socket.create_connection(address)))
+        links[-1].send_frame(*control_frame(tag, frame))
+    return links
+
+
+def registration(rank, port=1):
+    return {"rank": rank, "host": "127.0.0.1", "port": port}
 
 
 def tcp_mesh(size):
@@ -517,9 +553,9 @@ class TestRendezvousMesh:
 
     @pytest.mark.parametrize("first_frame,error", [
         ((7, b"{}"), TagMismatch),
-        ((TAG_REGISTER, b"not json"), ValueError),
+        ((TAG_REGISTER, b"not json"), ProtocolError),
         ((TAG_REGISTER, json.dumps({"rank": 5, "host": "127.0.0.1", "port": 1}).encode()),
-         ValueError),
+         ProtocolError),
         (None, PeerDisconnected),   # the connection closes before any frame
     ])
     def test_rejected_registration_leaves_no_socket_open(self, first_frame, error):
@@ -534,6 +570,106 @@ class TestRendezvousMesh:
             # keep only the type: the error's frames would keep a leak alive
             failure, coord.error = type(coord.error), None
         assert issubclass(failure, error)
+
+    def test_a_silent_dialer_ends_the_mesh_join_at_its_deadline(self):
+        t0 = time.monotonic()
+        coord = Coordinator("127.0.0.1", 0, 2, timeout=5.0)
+        coord.start()
+        worker, failures = joining(coord.address, 0, 2, timeout=1.0)
+        [peer] = send_control(coord.address, TAG_REGISTER, [registration(1)])
+        tag, table = peer.recv_frame(5.0)
+        assert tag == TAG_TABLE
+        time.sleep(max(0.0, 0.9 - (time.monotonic() - t0)))
+        with socket.create_connection(tuple(json.loads(table)["0"])):   # never says hello
+            worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert failures == [(RecvTimeout, None, "rank 0: timed out waiting for peers")]
+        assert time.monotonic() - t0 < 1.5
+        coord.join()
+        peer.close()
+
+    @pytest.mark.parametrize("kind,frames,error,rank", [
+        pytest.param("registration", [b"not json"], ProtocolError, None, id="reg-not-json"),
+        pytest.param("registration", [b"\xff\xfe"], ProtocolError, None, id="reg-not-utf8"),
+        pytest.param("registration", [[0, "127.0.0.1", 1]], ProtocolError, None,
+                     id="reg-non-object"),
+        pytest.param("registration", [{"host": "127.0.0.1", "port": 1}], ProtocolError, None,
+                     id="reg-missing-key"),
+        pytest.param("registration", [registration("0")], ProtocolError, None,
+                     id="reg-wrong-type"),
+        pytest.param("registration", [registration(0, port="1")], ProtocolError, None,
+                     id="reg-string-port"),
+        pytest.param("registration", [registration(True)], ProtocolError, None,
+                     id="reg-bool-rank"),
+        pytest.param("registration", [registration(3)], ProtocolError, 3,
+                     id="reg-out-of-range"),
+        pytest.param("registration", [registration(-1)], ProtocolError, -1,
+                     id="reg-negative"),
+        pytest.param("registration", [registration(0), registration(0)], ProtocolError, 0,
+                     id="reg-repeated"),
+        pytest.param("registration", [(TAG_HELLO, registration(0))], TagMismatch, None,
+                     id="reg-wrong-tag"),
+        pytest.param("table", [b"not json"], ProtocolError, None, id="table-not-json"),
+        pytest.param("table", [[["127.0.0.1", 1], ["127.0.0.1", 2]]], ProtocolError, None,
+                     id="table-non-object"),
+        pytest.param("table", [{"1": ["127.0.0.1", 2]}], ProtocolError, None,
+                     id="table-without-a-rank"),
+        pytest.param("table", [{"0": ["127.0.0.1", "1"], "1": ["127.0.0.1", 2]}],
+                     ProtocolError, None, id="table-wrong-type"),
+        pytest.param("table", [{"0": ["127.0.0.1", 1, 0], "1": ["127.0.0.1", 2]}],
+                     ProtocolError, None, id="table-entry-not-host-port"),
+        pytest.param("table", [{"0": "127.0.0.1:1", "1": "127.0.0.1:2"}], ProtocolError, None,
+                     id="table-entry-a-string"),
+        pytest.param("table", [b"[" * 100_000], ProtocolError, None, id="table-nested-deep"),
+        pytest.param("table", [{"0": ["127.0.0.1", 2 ** 70], "1": ["127.0.0.1", 2]}],
+                     PeerDisconnected, None, id="table-port-out-of-range"),
+        pytest.param("table", [(TAG_HELLO, {"0": ["127.0.0.1", 1], "1": ["127.0.0.1", 2]})],
+                     TagMismatch, None, id="table-wrong-tag"),
+        pytest.param("hello", [b"not json"], ProtocolError, None, id="hello-not-json"),
+        pytest.param("hello", [[1]], ProtocolError, None, id="hello-non-object"),
+        pytest.param("hello", [{}], ProtocolError, None, id="hello-missing-key"),
+        pytest.param("hello", [{"rank": "1"}], ProtocolError, None, id="hello-wrong-type"),
+        pytest.param("hello", [{"rank": 3}], ProtocolError, 3, id="hello-out-of-range"),
+        pytest.param("hello", [{"rank": 0}], ProtocolError, 0, id="hello-own-rank"),
+        pytest.param("hello", [{"rank": 1}, {"rank": 1}], ProtocolError, 1,
+                     id="hello-repeated"),
+        pytest.param("hello", [(TAG_REGISTER, {"rank": 1})], TagMismatch, None,
+                     id="hello-wrong-tag"),
+    ])
+    def test_a_malformed_control_frame_ends_the_join_with_a_named_error(self, kind, frames,
+                                                                          error, rank):
+        with no_unclosed_sockets():
+            if kind == "registration":   # to a coordinator of three
+                coord = Coordinator("127.0.0.1", 0, 3, timeout=5.0)
+                coord.start()
+                links = send_control(coord.address, TAG_REGISTER, frames)
+                coord.join(timeout=10.0)
+                assert not coord.is_alive()
+                failures = [(type(coord.error), coord.error.rank)]
+                coord.error = None   # its frames would keep a leak alive
+            else:
+                if kind == "table":   # from a stand-in coordinator, to rank 1 of two
+                    with socket.create_server(("127.0.0.1", 0)) as fake:
+                        worker, failed = joining(fake.getsockname(), 1, 2)
+                        links = [FramedSocket(fake.accept()[0])]
+                    assert links[0].recv_frame(5.0)[0] == TAG_REGISTER
+                    links[0].send_frame(*control_frame(TAG_TABLE, frames[0]))
+                else:   # from peers, to rank 0 of three
+                    coord = Coordinator("127.0.0.1", 0, 3, timeout=5.0)
+                    coord.start()
+                    worker, failed = joining(coord.address, 0, 3)
+                    links = send_control(coord.address, TAG_REGISTER,
+                                         [registration(1), registration(2)])
+                    tag, table = links[0].recv_frame(5.0)
+                    assert tag == TAG_TABLE
+                    coord.join()
+                    links += send_control(tuple(json.loads(table)["0"]), TAG_HELLO, frames)
+                worker.join(timeout=10.0)
+                assert not worker.is_alive()
+                failures = [failure[:2] for failure in failed]
+            for link in links:
+                link.close()
+        assert failures == [(error, rank)]
 
     @pytest.mark.parametrize("hello_rank", [0, 2])
     def test_hello_from_an_unexpected_rank_is_rejected(self, hello_rank):
