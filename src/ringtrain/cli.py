@@ -28,8 +28,8 @@ from .harness import (run_aggregation_comparison, run_collective_bench,
                       run_scaling_experiment, run_thermal_scenario)
 from .preset import load_compute, load_net, load_thermal
 from .transport.sim import sim_probe_bandwidth
-from .transport.tcp import (DEFAULT_TIMEOUT, Coordinator, rendezvous, tcp_probe_client,
-                            tcp_probe_server)
+from .transport.tcp import (DEFAULT_TIMEOUT, Coordinator, listen, rendezvous, serve_probe,
+                            tcp_probe_client)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,8 +76,9 @@ def write_manifest(out_dir: Path, argv: list[str], seed: int,
 
 def _parse_host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected host:port with a port up to 65535, "
+                                         f"got {text!r}")
     return host, int(port)
 
 
@@ -285,12 +286,10 @@ def cmd_probe(args) -> int:
     if args.repeat < 1 or args.seconds <= 0:
         raise ValueError("probe needs --repeat >= 1 and --seconds > 0")
     if args.server:
-        host, port = args.bind
-        addr, thread = tcp_probe_server(host, port)
-        print(f"probe server listening on {addr[0]}:{addr[1]}", flush=True)
-        thread.join()
-        if thread.error is not None:
-            raise thread.error
+        listener = listen(*args.bind, backlog=1)
+        host, port = listener.getsockname()[:2]
+        print(f"probe server listening on {host}:{port}", flush=True)
+        serve_probe(listener)
         return EXIT_OK
     if args.sim:
         profile = load_net(args.sim)

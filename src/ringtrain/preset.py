@@ -27,24 +27,25 @@ def preset_path(name_or_path: str | Path) -> Path:
 _field_types = functools.cache(get_type_hints)
 
 
-def _fits(value, hint) -> bool:
+def json_fits(value, hint) -> bool:
     """Whether the parsed JSON ``value`` has the annotated type ``hint``: an int is
-    a float but a bool is neither, and a tuple is an array of its length."""
+    a float but a bool is neither, and a tuple is an array of its length. The one
+    type rule for config files and TCP control frames alike."""
     origin, args = get_origin(hint), get_args(hint)
     if hint is float:
         return type(value) in (int, float)   # not isinstance: a bool is an int
     if hint in (int, str, type(None)):
         return type(value) is hint
     if origin is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+        return isinstance(value, list) and all(json_fits(v, args[0]) for v in value)
     if origin is tuple:
         return isinstance(value, list) and len(value) == len(args) \
-            and all(map(_fits, value, args))
+            and all(map(json_fits, value, args))
     if origin is dict:
         return isinstance(value, dict) and all(
-            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+            json_fits(k, args[0]) and json_fits(v, args[1]) for k, v in value.items())
     if origin in (Union, UnionType):
-        return any(_fits(value, arg) for arg in args)
+        return any(json_fits(value, arg) for arg in args)
     raise TypeError(f"no JSON rule for the type {hint}")
 
 
@@ -64,7 +65,7 @@ def from_json_object(cls, data):
     hints = _field_types(cls)
     for name, value in data.items():
         hint = hints[name]
-        if not _fits(value, hint):
+        if not json_fits(value, hint):
             raise ValueError(f"{cls.__name__} config: {name} must be of type "
                              f"{hint.__name__ if isinstance(hint, type) else hint}, "
                              f"got {json.dumps(value)}")

@@ -1,9 +1,13 @@
-"""Real framed-TCP transport and worker rendezvous.
+"""Real framed-TCP transport, worker rendezvous and the bandwidth probe.
 
-Every worker opens a listening socket, registers (rank, address) with a
-coordinator, receives the full address table back, then builds a full mesh:
-rank r dials every lower rank and accepts connections from higher ranks.
-All traffic uses the frame format from :mod:`.frame`.
+Every worker connects to a coordinator, listens on that link's local address
+(the address its peers can reach), registers (rank, address) and receives the
+full address table back, then builds a full mesh: rank r dials every lower
+rank and accepts connections from higher ranks. All traffic uses the frame
+format from :mod:`.frame`. Every control frame (registration, address table,
+hello and probe ACK) is a JSON object read through ``_read_control``, whose
+field types follow the one JSON type rule that config files use as well
+(:func:`ringtrain.preset.json_fits`).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from ..errors import (CommunicationError, PeerDisconnected, ProtocolError, RecvTimeout,
                       TagMismatch, WireProtocolError)
+from ..preset import json_fits
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
 
 DEFAULT_TIMEOUT = 30.0
@@ -218,6 +223,14 @@ class TcpEndpoint:
             conn.close()
 
 
+def listen(host: str, port: int, backlog: int) -> socket.socket:
+    """A socket listening on ``host:port``; one that cannot bind is a ``CommunicationError``."""
+    try:
+        return socket.create_server((host, port), backlog=backlog)
+    except OSError as exc:
+        raise CommunicationError(f"cannot listen on {host}:{port}: {exc}") from None
+
+
 def _accept(server: socket.socket, message: str, timeout=DEFAULT_TIMEOUT) -> socket.socket:
     """Accept one connection within ``timeout`` seconds, else raise ``RecvTimeout(message)``."""
     server.settimeout(max(0.0, timeout))
@@ -227,16 +240,9 @@ def _accept(server: socket.socket, message: str, timeout=DEFAULT_TIMEOUT) -> soc
         raise RecvTimeout(message) from None
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value is of ``kind``: a type, or a tuple of kinds for a list."""
-    if isinstance(kind, tuple):
-        return type(value) is list and len(value) == len(kind) and all(map(_fits, value, kind))
-    return type(value) is kind   # so that true is no int
-
-
 def _read_control(fs: FramedSocket, tag: int, timeout: float, what: str, fields: dict) -> dict:
     """Read one control frame within ``timeout`` seconds; returns its JSON object, which
-    must hold ``fields`` of their kinds (see ``_fits``), or raises a ``ProtocolError``."""
+    must hold ``fields`` of their types (see ``json_fits``), or raises a ``ProtocolError``."""
     got, payload = fs.recv_frame(timeout)
     if got != tag:
         raise TagMismatch(f"expected {what}, got tag {got}")
@@ -244,7 +250,7 @@ def _read_control(fs: FramedSocket, tag: int, timeout: float, what: str, fields:
         obj = json.loads(payload)
     except (ValueError, RecursionError):   # not UTF-8, not JSON, or nested too deep
         obj = None
-    if not (isinstance(obj, dict) and all(_fits(obj.get(k), v) for k, v in fields.items())):
+    if not (isinstance(obj, dict) and all(json_fits(obj.get(k), v) for k, v in fields.items())):
         raise ProtocolError(f"malformed {what}: {bytes(payload[:80])!r}")
     return obj
 
@@ -270,20 +276,32 @@ def _admit(server: socket.socket, tag: int, what: str, fields: dict, ranks: rang
     return admitted
 
 
-class _ServerThread(threading.Thread):
-    """Runs the subclass's ``serve`` on a daemon thread and closes the listener
-    after it; join the thread, then read its failure from ``error`` (or None)."""
+class Coordinator(threading.Thread):
+    """Collects worker registrations and broadcasts the address table on a daemon
+    thread, then closes its listener; join it, then read its failure from ``error``
+    (or None)."""
 
-    def __init__(self, server: socket.socket):
+    def __init__(self, host: str, port: int, size: int, timeout: float = DEFAULT_TIMEOUT):
         super().__init__(daemon=True)
-        self._server = server
-        self.address = server.getsockname()
+        self._server = listen(host, port, size)
+        self.address = self._server.getsockname()
+        self.size = size
+        self.timeout = timeout
         self.error: Exception | None = None
 
     def run(self) -> None:
+        """Accept and read all registrations within ``timeout``, then send everyone
+        the rank -> address table."""
         try:
-            with self._server:
-                self.serve()
+            with self._server, ExitStack() as accepted:   # and every accepted socket
+                workers = _admit(self._server, TAG_REGISTER, "registration",
+                                 {"rank": int, "host": str, "port": int}, range(self.size),
+                                 self.timeout,
+                                 f"rendezvous timed out with {{}}/{self.size} workers", accepted)
+                payload = json.dumps({str(rank): (reg["host"], reg["port"])
+                                      for rank, (_, reg) in workers.items()}).encode()
+                for fs, _ in workers.values():
+                    fs.send_frame(TAG_TABLE, payload, self.timeout)
         except OSError as exc:   # from the listener: a timeout is already a RecvTimeout
             self.error = CommunicationError(f"listener {self.address} failed: {exc}")
         except Exception as exc:  # noqa: BLE001 - surfaced to whoever joins
@@ -291,30 +309,8 @@ class _ServerThread(threading.Thread):
 
     def stop(self) -> None:
         """Stop waiting for connections: an accept in progress fails at once."""
-        with suppress(OSError):   # serve has closed it already
+        with suppress(OSError):   # run has closed it already
             self._server.shutdown(socket.SHUT_RDWR)
-
-
-class Coordinator(_ServerThread):
-    """Collects worker registrations and broadcasts the address table."""
-
-    def __init__(self, host: str, port: int, size: int, timeout: float = DEFAULT_TIMEOUT):
-        super().__init__(socket.create_server((host, port), backlog=size))
-        self.size = size
-        self.timeout = timeout
-
-    def serve(self) -> None:
-        """Accept and read all registrations within ``timeout``, then send everyone
-        the rank -> address table."""
-        with ExitStack() as accepted:   # every accepted socket is closed on the way out
-            workers = _admit(self._server, TAG_REGISTER, "registration",
-                             {"rank": int, "host": str, "port": int}, range(self.size),
-                             self.timeout, f"rendezvous timed out with {{}}/{self.size} workers",
-                             accepted)
-            payload = json.dumps({str(rank): (reg["host"], reg["port"])
-                                  for rank, (_, reg) in workers.items()}).encode()
-            for fs, _ in workers.values():
-                fs.send_frame(TAG_TABLE, payload, self.timeout)
 
 
 def _connect(address: tuple[str, int], timeout: float, what: str) -> socket.socket:
@@ -329,24 +325,25 @@ def _connect(address: tuple[str, int], timeout: float, what: str) -> socket.sock
 
 
 def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
-               listen_host: str = "127.0.0.1",
                timeout: float = DEFAULT_TIMEOUT) -> TcpEndpoint:
     """Join the group and build the full mesh; returns a ready endpoint whose
     every send and receive is bounded by the same ``timeout``, as is the wait for
     the hellos of all higher ranks.
 
-    The listener and the coordinator connection are closed on return; if the
-    join fails, every peer connection opened so far is closed as well.
+    The worker listens on, and registers, its coordinator link's local address: the
+    interface that reaches the coordinator, which the peers reach it on as well. The
+    listener and the coordinator connection are closed on return; if the join fails,
+    every peer connection opened so far is closed as well.
     """
-    with socket.create_server((listen_host, 0), backlog=size) as listener, ExitStack() as peers:
+    with _connect(coordinator, timeout, "coordinator") as coord_sock, \
+            listen(coord_sock.getsockname()[0], 0, size) as listener, \
+            ExitStack() as peers:
         host, port = listener.getsockname()[:2]
-
-        with _connect(coordinator, timeout, "coordinator") as coord_sock:
-            coord = FramedSocket(coord_sock)
-            coord.send_frame(TAG_REGISTER, json.dumps(
-                {"rank": rank, "host": host, "port": port}).encode(), timeout)
-            table = _read_control(coord, TAG_TABLE, timeout, f"address table for rank {rank}",
-                                  {str(r): (str, int) for r in range(size)})
+        coord = FramedSocket(coord_sock)
+        coord.send_frame(TAG_REGISTER, json.dumps(
+            {"rank": rank, "host": host, "port": port}).encode(), timeout)
+        table = _read_control(coord, TAG_TABLE, timeout, f"address table for rank {rank}",
+                              {str(r): tuple[str, int] for r in range(size)})
 
         conns: dict[int, FramedSocket] = {}
         for peer in range(rank):   # dial lower ranks, announce who we are
@@ -361,37 +358,25 @@ def rendezvous(coordinator: tuple[str, int], rank: int, size: int,
     return TcpEndpoint(rank, size, conns, timeout)
 
 
-class _ProbeServer(_ServerThread):
-    def serve(self) -> None:
-        """Count payload bytes until each END frame and acknowledge the total;
-        the session ends at the END frame that says "done"."""
-        with _accept(self._server, "probe server timed out waiting for a client") as sock:
-            self._server.close()   # one session: stop listening once it is accepted
-            fs = FramedSocket(sock)
-            done = False
-            while not done:
-                received = 0
-                while True:
-                    tag, payload = fs.recv_frame()
-                    if tag == TAG_PROBE_END:
-                        done = payload == b"done"
-                        break
-                    if tag != TAG_PROBE_DATA:
-                        raise TagMismatch(f"probe server got tag {tag}")
-                    received += len(payload)
-                fs.send_frame(TAG_PROBE_ACK, str(received).encode())
+def serve_probe(listener: socket.socket) -> None:
+    """Serve one throughput-probe session on the calling thread: count payload bytes
+    until each END frame and acknowledge the total; the session ends at the END frame
+    that says "done". The listener is closed once a client is accepted."""
+    with listener, _accept(listener, "probe server timed out waiting for a client") as sock:
+        listener.close()   # one session: stop listening once it is accepted
+        fs = FramedSocket(sock)
+        received, done = 0, False
+        while not done:
+            tag, payload = fs.recv_frame()
+            if tag == TAG_PROBE_DATA:
+                received += len(payload)
+            elif tag == TAG_PROBE_END:
+                fs.send_frame(TAG_PROBE_ACK, json.dumps({"received": received}).encode())
+                received, done = 0, payload == b"done"
+            else:
+                raise TagMismatch(f"probe server got tag {tag}")
 
 
-def tcp_probe_server(host: str, port: int) -> tuple[tuple[str, int], threading.Thread]:
-    """Serve one throughput-probe session on a background thread.
-
-    Returns the bound address and the serving thread: join it to wait for the
-    session, whose failure it then holds as ``error`` (a ``CommunicationError``,
-    or None).
-    """
-    thread = _ProbeServer(socket.create_server((host, port), backlog=1))
-    thread.start()
-    return thread.address, thread
 def tcp_probe_client(server: tuple[str, int], seconds: float,
                      repeat: int = 10) -> list[float]:
     """Stream 1 MiB data frames to a probe server; returns Mbps per repeat."""
@@ -404,14 +389,10 @@ def tcp_probe_client(server: tuple[str, int], seconds: float,
             deadline = t0 + seconds
             while time.perf_counter() < deadline:
                 fs.send_frame(TAG_PROBE_DATA, chunk)
-            last = i == repeat - 1
-            fs.send_frame(TAG_PROBE_END, b"done" if last else b"more")
-            tag, payload = fs.recv_frame()
-            elapsed = time.perf_counter() - t0
-            if tag != TAG_PROBE_ACK:
-                raise TagMismatch(f"probe client got tag {tag}")
-            acked = int(payload.decode())
-            rates.append(acked * 8.0 / (1e6 * elapsed))
+            fs.send_frame(TAG_PROBE_END, b"done" if i == repeat - 1 else b"more")
+            ack = _read_control(fs, TAG_PROBE_ACK, DEFAULT_TIMEOUT, "probe ack",
+                                {"received": int})
+            rates.append(ack["received"] * 8.0 / (1e6 * (time.perf_counter() - t0)))
     finally:
         fs.close()
     return rates

@@ -13,10 +13,11 @@ import pytest
 
 from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VARS, main
 from ringtrain.engine import TrainingConfig
+from ringtrain.errors import CommunicationError, ProtocolError, TagMismatch
 from ringtrain.preset import load_thermal, preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
-from ringtrain.transport.tcp import (TAG_PROBE_DATA, Coordinator, FramedSocket, rendezvous,
-                                     tcp_probe_server)
+from ringtrain.transport.tcp import (TAG_PROBE_ACK, TAG_PROBE_DATA, TAG_PROBE_END, Coordinator,
+                                     FramedSocket, rendezvous, tcp_probe_client)
 
 
 def run_cli(*argv):
@@ -334,12 +335,14 @@ def test_probe_sim_reports_profile_rate(capsys):
     assert "+-" in line and "3 runs" in line
 
 
-def test_probe_real_loopback(capsys):
-    addr, _ = tcp_probe_server("127.0.0.1", 0)
+def test_probe_real_loopback(probe_session, capsys):
+    addr, thread, failures = probe_session
     assert run_cli("probe", "--client", f"{addr[0]}:{addr[1]}",
                    "--seconds", "0.05", "--repeat", "2") == EXIT_OK
     out = capsys.readouterr().out
     assert float(out.split()[0]) > 0
+    thread.join(timeout=5.0)
+    assert failures == []
 
 
 @pytest.mark.parametrize("flags", [["--repeat", "0"], ["--repeat", "-2"],
@@ -364,6 +367,76 @@ def test_probe_server_exits_3_when_its_session_fails(frames):
         _, err = proc.communicate(timeout=20)
     assert proc.returncode == EXIT_COMM
     assert "communication failure: " in err
+
+
+def test_probe_server_and_client_processes_complete_a_session():
+    with subprocess.Popen([sys.executable, "-m", "ringtrain", "probe", "--server"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as server:
+        try:
+            address = server.stdout.readline().split()[-1]
+            client = subprocess.run([sys.executable, "-m", "ringtrain", "probe", "--client",
+                                     address, "--seconds", "0.05", "--repeat", "2"],
+                                    capture_output=True, text=True, timeout=60)
+            server.communicate(timeout=20)
+        finally:
+            server.kill()
+    assert (server.returncode, client.returncode) == (EXIT_OK, EXIT_OK)
+    assert float(client.stdout.split()[0]) > 0 and "2 runs" in client.stdout
+
+
+@pytest.mark.parametrize("ack,error", [
+    ((TAG_PROBE_ACK, b"lots"), ProtocolError),
+    ((TAG_PROBE_ACK, b"12"), ProtocolError),   # a bare count, not a JSON object
+    ((TAG_PROBE_DATA, b'{"received": 12}'), TagMismatch),
+], ids=["not-json", "not-an-object", "wrong-tag"])
+def test_probe_client_exits_3_on_a_malformed_ack(ack, error, capsys):
+    """A stand-in server answers the END frame of each of two sessions with ``ack``."""
+    failures = []
+
+    def serve(listener):
+        for _ in range(2):
+            with listener.accept()[0] as sock:
+                fs = FramedSocket(sock)
+                while fs.recv_frame(5.0)[0] != TAG_PROBE_END:
+                    pass
+                fs.send_frame(*ack)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+        server = threading.Thread(target=serve, args=(listener,), daemon=True)
+        server.start()
+        code = run_cli("probe", "--client", f"{host}:{port}", "--seconds", "0.01",
+                       "--repeat", "1")
+        try:
+            tcp_probe_client((host, port), 0.01, repeat=1)
+        except CommunicationError as exc:   # not exc: its frames would keep a leak alive
+            failures.append(type(exc))
+        server.join(timeout=10.0)
+    assert code == EXIT_COMM
+    assert "communication failure: " in capsys.readouterr().err
+    assert failures == [error]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["probe", "--server", "--bind", "127.0.0.1:70000"], EXIT_USAGE, "up to 65535"),
+    (["probe", "--client", "127.0.0.1:70000"], EXIT_USAGE, "up to 65535"),
+    (["worker", "--rank", "0", "--size", "1", "--coordinator", "127.0.0.1:70000",
+      "--config", "CONFIG", "--out", "OUT"], EXIT_USAGE, "up to 65535"),
+    (["probe", "--server", "--bind", "203.0.113.7:5201"], EXIT_COMM,
+     "communication failure: cannot listen on 203.0.113.7:5201: "),
+    (["probe", "--server", "--bind", "TAKEN"], EXIT_COMM,
+     "communication failure: cannot listen on 127.0.0.1:"),
+], ids=["bind-port-range", "client-port-range", "coordinator-port-range",
+        "bind-address-not-local", "bind-port-in-use"])
+def test_a_bad_host_port_flag_exits_with_its_code(argv, code, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=2, per_device_batch=2, workers=1,
+                   iterations=1, seed=0).to_json(cfg_path)
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        names = {"CONFIG": str(cfg_path), "OUT": str(tmp_path),
+                 "TAKEN": f"127.0.0.1:{taken.getsockname()[1]}"}
+        assert run_cli(*(names.get(arg, arg) for arg in argv)) == code
+    assert message in capsys.readouterr().err
 
 
 THERMAL = json.loads(preset_path("thermal_s10").read_text())

@@ -19,9 +19,11 @@ from ringtrain.transport.frame import (FRAME_MAGIC, MAX_PAYLOAD_BYTES, decode_he
                                        encode_frame, floats_to_wire, wire_to_floats)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
 from ringtrain.transport.sim import SimCluster, sim_probe_bandwidth
-from ringtrain.transport.tcp import (TAG_HELLO, TAG_REGISTER, TAG_TABLE, Coordinator,
-                                     FramedSocket, TcpEndpoint, rendezvous,
-                                     tcp_probe_client, tcp_probe_server)
+from ringtrain.transport import tcp
+from ringtrain.transport.tcp import (TAG_HELLO, TAG_PROBE_ACK, TAG_PROBE_DATA, TAG_PROBE_END,
+                                     TAG_REGISTER, TAG_TABLE, Coordinator, FramedSocket,
+                                     TcpEndpoint, listen, rendezvous, serve_probe,
+                                     tcp_probe_client)
 
 ETH = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
 
@@ -671,6 +673,41 @@ class TestRendezvousMesh:
                 link.close()
         assert failures == [(error, rank)]
 
+    def test_a_worker_listens_on_its_coordinator_links_address(self, monkeypatch):
+        """Only the coordinator link leaves from 127.0.0.3: every worker must register,
+        and its peers dial, that address rather than a fixed loopback one."""
+        real_connect, real_read = tcp._connect, tcp._read_control
+        tables = []
+
+        def connect(address, timeout, what):
+            if what != "coordinator":
+                return real_connect(address, timeout, what)
+            return socket.create_connection(address, timeout, source_address=("127.0.0.3", 0))
+
+        def read_control(fs, tag, *rest):
+            obj = real_read(fs, tag, *rest)
+            if tag == TAG_TABLE:
+                tables.append(obj)
+            return obj
+
+        monkeypatch.setattr(tcp, "_connect", connect)
+        monkeypatch.setattr(tcp, "_read_control", read_control)
+        e0, e1 = tcp_mesh(2)
+        payloads = [np.arange(5, dtype=np.float32) * (r + 1) for r in range(2)]
+        results = {}
+        peer = threading.Thread(
+            target=lambda: results.update({1: ring_allreduce(payloads[1], CommGroup(e1))}))
+        peer.start()
+        try:
+            results[0] = ring_allreduce(payloads[0], CommGroup(e0))
+            peer.join(timeout=10.0)
+        finally:
+            e0.close(), e1.close()
+        assert len(tables) == 2
+        assert {host for table in tables for host, _ in table.values()} == {"127.0.0.3"}
+        expected = np.arange(5, dtype=np.float32) * 3
+        assert (results[0] == expected).all() and (results[1] == expected).all()
+
     @pytest.mark.parametrize("hello_rank", [0, 2])
     def test_hello_from_an_unexpected_rank_is_rejected(self, hello_rank):
         coord = Coordinator("127.0.0.1", 0, 2, timeout=5.0)
@@ -859,17 +896,46 @@ class TestProbes:
         assert aborted
         assert rate == 0.0
 
-    def test_probe_server_closes_a_connection_that_sends_a_wrong_tag(self):
+    def test_probe_server_closes_a_connection_that_sends_a_wrong_tag(self, probe_session):
+        addr, thread, failures = probe_session
         with no_unclosed_sockets():
-            addr, thread = tcp_probe_server("127.0.0.1", 0)
             fs = FramedSocket(socket.create_connection(addr))
             fs.send_frame(7, b"")
             thread.join(timeout=5.0)
             fs.close()
         assert not thread.is_alive()
+        assert failures == [TagMismatch]
 
-    def test_loopback_probe_reports_positive_rate(self):
-        addr, _ = tcp_probe_server("127.0.0.1", 0)
+    def test_loopback_probe_reports_positive_rate(self, probe_session):
+        addr, thread, failures = probe_session
         rates = tcp_probe_client(addr, seconds=0.05, repeat=3)
         assert len(rates) == 3
         assert all(r > 0 for r in rates)
+        thread.join(timeout=5.0)
+        assert failures == []
+
+    def test_a_probe_session_starts_no_thread(self, monkeypatch):
+        """The whole session runs on the caller's thread: the client's frames wait in
+        the socket buffers until the server, on this same thread, reads them."""
+        started = []
+
+        def refuse(thread):
+            started.append(thread)
+            raise RuntimeError("the probe session started a thread")
+
+        with no_unclosed_sockets():
+            listener = listen("127.0.0.1", 0, 1)
+            client = FramedSocket(socket.create_connection(listener.getsockname()))
+            for tag, payload in ((TAG_PROBE_DATA, b"x" * 1000), (TAG_PROBE_DATA, b"y" * 24),
+                                 (TAG_PROBE_END, b"done")):
+                client.send_frame(tag, payload)
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            try:
+                serve_probe(listener)
+            finally:
+                monkeypatch.undo()
+            tag, ack = client.recv_frame(5.0)
+            client.close()
+        assert started == []
+        assert (tag, json.loads(ack)) == (TAG_PROBE_ACK, {"received": 1024})
+        assert listener.fileno() == -1   # one session: the listener is closed
