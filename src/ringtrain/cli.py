@@ -342,7 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"communication failure: {exc}", file=sys.stderr)
         return EXIT_COMM
     except (FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"config error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,16 +1,18 @@
 """Analytic timing of collective message schedules.
 
-These functions price the exact message schedule a collective would execute
-with one array call to ``sim_transfer_time``, moving no payload, and sum the
-times in message order. The ring cost follows rank 0's 2(K-1) receives from
-``collectives.ring_steps``, the schedule ``ring_allreduce`` runs, with the
-real uneven segment sizes; the tree baseline models a segmented, pipelined
-binomial reduce+broadcast, which is how production libraries keep
-large-message allreduce time nearly independent of the participant count.
+These functions price the exact message schedule a collective would execute,
+moving no payload, in blocks of at most ``BLOCK_MESSAGES`` messages with one
+array call to ``sim_transfer_time`` each, so memory stays bounded for any
+payload, and sum the times in message order. The ring cost follows rank 0's
+2(K-1) receives from ``collectives.ring_steps``, the schedule
+``ring_allreduce`` runs, with the real uneven segment sizes; the tree
+baseline models a segmented, pipelined binomial reduce+broadcast, which is
+how production libraries keep large-message allreduce time nearly
+independent of the participant count.
 
 Each call draws every message's jitter from one generator seeded from
-``net.seed``. ``collective_time`` also takes the caller's generator instead,
-so a sweep can share one.
+``net.seed``, in message order. ``collective_time`` also takes the caller's
+generator instead, so a sweep can share one.
 """
 
 from __future__ import annotations
@@ -21,36 +23,67 @@ from ..collectives import AGGREGATIONS, ring_steps, segment_size
 from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile
 from ..transport.net import NetProfile, sim_transfer_time
 
+# Messages priced per sim_transfer_time call: few calls, and a cost call's
+# arrays stay near 0.4 MiB whatever the payload or the number of chunks.
+BLOCK_MESSAGES = 8192
 
-def _schedule(collective: str, k: int, segment_bytes: int | None):
-    """Byte counts of one allreduce's messages, in order, as a function of its size.
 
+def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.ndarray):
+    """``(count, sizes)`` of one allreduce of each buffer in ``n_bytes``.
+
+    Each sends ``count`` messages; ``sizes(rows, lo, hi)`` gives the byte
+    counts of messages lo..hi-1 of buffers ``n_bytes[rows]``, one row each.
     The tree sends m segments across a depth-d tree in (d - 1 + m) segment
-    slots per direction, and both directions are charged.
+    slots per direction, and both directions are charged; as its count
+    depends on the size, it takes one buffer.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if collective == "ring":
         order = np.array([recv for *_, recv, _ in ring_steps(0, k)], dtype=np.int64)
-        return lambda n_bytes: segment_size(n_bytes // FLOAT_BYTES, k, order) * FLOAT_BYTES
+        elems = n_bytes[:, None] // FLOAT_BYTES
+        return len(order), lambda rows, lo, hi: (
+            segment_size(elems[rows], k, order[lo:hi]) * FLOAT_BYTES)
     if collective == "tree":
+        (size,) = n_bytes.tolist()
+        if size < 0:
+            raise ValueError("nbytes must be >= 0")
         depth = max(1, (k - 1).bit_length())   # the rounds of collectives.tree_steps
+        full, last = divmod(size, segment_bytes)
+        # (bytes, messages) runs of both directions; a zero-byte collective
+        # still crosses every hop once per direction
+        runs = [(segment_bytes, full), (last, int(last > 0 or size == 0)),
+                (min(segment_bytes, size), depth - 1)] * 2
 
-        def tree(n_bytes: int) -> np.ndarray:
-            full, last = divmod(n_bytes, segment_bytes)
-            # a zero-byte collective still crosses every hop once per direction
-            one_way = np.repeat([segment_bytes, last, min(segment_bytes, n_bytes)],
-                                [full, int(last > 0 or n_bytes == 0), depth - 1])
-            return np.tile(one_way, 2)
-        return tree
+        def tree(rows, lo: int, hi: int) -> np.ndarray:
+            counts, start = [], 0
+            for _, n in runs:
+                counts.append(max(0, min(start + n, hi) - max(start, lo)))
+                start += n
+            return np.repeat([b for b, _ in runs], counts)[None, :]
+        return sum(n for _, n in runs), tree
     raise ValueError(f"unknown collective {collective!r}")
 
 
-def _comm_time(sizes: np.ndarray, k: int, net: NetProfile,
-               rng: np.random.Generator | None) -> float:
-    """Time of messages sent one after another, summed in message order."""
+def _comm_times(collective: str, k: int, net: NetProfile, segment_bytes: int | None,
+                n_bytes: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+    """Each buffer's allreduce time: its messages' times summed in message order.
+
+    A block is a run of whole buffers, or a stretch of one buffer's messages
+    whose running sum is carried into the next block as the first term of its
+    cumulative sum, so the additions are those of a message-by-message walk.
+    """
     rng = np.random.default_rng(net.seed) if rng is None else rng
-    return float(np.cumsum(sim_transfer_time(sizes, k, net, rng))[-1])
+    count, sizes = _schedule(collective, k, segment_bytes, n_bytes)
+    rows, width = max(1, BLOCK_MESSAGES // count), min(count, BLOCK_MESSAGES)
+    times = np.empty(len(n_bytes))
+    for first in range(0, len(n_bytes), rows):
+        block = slice(first, first + rows)
+        for lo in range(0, count, width):
+            t = sim_transfer_time(sizes(block, lo, min(lo + width, count)), k, net, rng)
+            total = np.cumsum(np.hstack((total, t)) if lo else t, axis=1)[:, -1:]
+        times[block] = total[:, 0]
+    return times
 
 
 def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
@@ -59,22 +92,19 @@ def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
 
     Every invocation pays the invocation overhead: a packed strategy makes
     one invocation and pays the pack/unpack memory copies once, a chunk-wise
-    strategy makes one invocation per chunk and never copies.
+    strategy makes one invocation per chunk and never copies. The chunk-wise
+    ring prices a run of whole chunks per array call and adds the
+    invocations' times in chunk order.
     """
     if k == 1:
         return 0.0
     if alg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {alg!r}")
     collective, packed = AGGREGATIONS[alg]
-    buffers = [profile.total_bytes] if packed else [n * FLOAT_BYTES for n in profile.chunk_elems]
+    buffers = np.array([profile.total_elems] if packed else profile.chunk_elems, np.int64)
     copies = 2 * profile.total_bytes / compute.pack_bandwidth if packed else 0.0
-    sizes_of = _schedule(collective, k, compute.tree_segment_bytes)
-    rng = np.random.default_rng(net.seed)
-    total = 0.0
-    for n_bytes in buffers:
-        total += (compute.invocation_overhead + copies
-                  + _comm_time(sizes_of(n_bytes), k, net, rng))
-    return total
+    comm = _comm_times(collective, k, net, compute.tree_segment_bytes, buffers * FLOAT_BYTES, None)
+    return float(np.cumsum(np.append(0.0, compute.invocation_overhead + copies + comm))[-1])
 
 
 def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfile,
@@ -82,5 +112,6 @@ def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfi
     """Bare allreduce benchmark time for a buffer of ``n_bytes``."""
     if k == 1:
         return 0.0
-    sizes = _schedule(alg, k, compute.tree_segment_bytes)(n_bytes)
-    return compute.invocation_overhead + _comm_time(sizes, k, net, rng)
+    comm = _comm_times(alg, k, net, compute.tree_segment_bytes,
+                       np.array([n_bytes], dtype=np.int64), rng)
+    return compute.invocation_overhead + float(comm[0])

@@ -40,10 +40,11 @@ def sim_transfer_time(nbytes: int | np.ndarray, k_active: int, profile: NetProfi
     """Seconds to move ``nbytes`` over one link while ``k_active`` nodes share it.
 
     ``nbytes`` is one byte count, priced as a float, or an integer array of
-    the counts of messages sent in order, priced as an array of times.
+    any shape of the counts of messages sent in its C (row-major) order,
+    priced as an array of times of the same shape.
     t = latency + bytes*8 / (1e6 * effective_bw) * jitter, where jitter is a
-    mean-one lognormal draw from ``rng`` per non-empty message, in message
-    order, when the profile has jitter, and 1.0 otherwise. Zero-byte messages
+    mean-one lognormal draw from ``rng`` per non-empty message, in C order,
+    when the profile has jitter, and 1.0 otherwise. Zero-byte messages
     cost exactly the latency and draw nothing; a jittered non-empty transfer
     without a generator is a ValueError.
     """

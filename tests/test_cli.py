@@ -326,6 +326,14 @@ def test_sim_at_one_k_rejects_a_list_of_k(experiment, tmp_path, capsys):
     assert "config error: " in err and "8,16" in err
 
 
+def test_an_unknown_model_exits_2_with_the_bare_message(tmp_path, capsys):
+    assert run_cli("sim", "aggregation", "--model", "Nope", "--out", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error: unknown model profile 'Nope'; known names: AlexNet, GoogleNet, "
+        "Inception-v3, Mobilenet-v1, Mobilenet-v2, ResNet-101, ResNet-152, ResNet-50, "
+        "SequeezeNet-v1.0, SequeezeNet-v1.1, SqueezeNet-v1.0, SqueezeNet-v1.1\n")
+
+
 def test_probe_sim_reports_profile_rate(capsys):
     assert run_cli("probe", "--sim", "ethernet", "--seconds", "2",
                    "--repeat", "3") == EXIT_OK

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringtrain.collectives import CommGroup, ring_allreduce, ring_steps, segment_bounds
@@ -17,6 +18,7 @@ from ringtrain.harness import (aggregation_comm_time, collective_time,
                                run_efficiency_sweep, run_rar_vs_tree,
                                run_scaling_experiment, run_thermal_scenario,
                                simulate_iteration)
+from ringtrain.harness.cost import BLOCK_MESSAGES
 from ringtrain.preset import load_compute, load_net, load_thermal
 from ringtrain.profiles import (FLOAT_BYTES, MB, ComputeProfile, ModelProfile, ThermalModel,
                                 build_profile)
@@ -82,6 +84,12 @@ class TestCostModel:
     def test_tree_zero_size_is_pure_latency(self):
         t = collective_time(0, 16, ETH, BARE, "tree")
         assert t == pytest.approx(2 * 4 * ETH.latency)  # depth 4, both directions
+
+    @pytest.mark.parametrize("alg", ["ring", "tree"])
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_a_negative_payload_is_a_value_error(self, k, alg):
+        with pytest.raises(ValueError, match="nbytes must be >= 0"):
+            collective_time(-5, k, ETH, BARE, alg)
 
     def test_ring_approaches_bandwidth_optimal_limit(self):
         # at K=138 with zero latency the ring should sit within 5% of 2*n*4*8/bw
@@ -178,8 +186,10 @@ def _tree_walk(n_bytes, k, net, segment_bytes, rng):
     return total
 
 
-NETS = st.sampled_from([load_net("ethernet"), load_net("wifi5")])
+NET_PRESETS = [load_net("ethernet"), load_net("wifi5")]
+NETS = st.sampled_from(NET_PRESETS)
 SEGMENT = COMPUTE.tree_segment_bytes
+RING_ROWS = BLOCK_MESSAGES // (2 * (138 - 1))   # whole K=138 chunks in one block
 
 
 @st.composite
@@ -190,7 +200,7 @@ def ring_sizes(draw):
 
 
 class TestArrayPricingMatchesScalarWalk:
-    """One array call per schedule gives the per-message walk's time and draws."""
+    """Array calls of up to a block of messages give the per-message walk's time and draws."""
 
     @settings(max_examples=300, deadline=None)
     @given(ring_sizes(), NETS, st.integers(0, 2 ** 32 - 1))
@@ -211,6 +221,74 @@ class TestArrayPricingMatchesScalarWalk:
         assert (collective_time(n_bytes, k, net, BARE, "tree", rng)
                 == _tree_walk(n_bytes, k, net, SEGMENT, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 160).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+               st.one_of(st.just(0), st.integers(1, 4 * k), st.integers(10 ** 4, 10 ** 7)),
+               max_size=3 * RING_ROWS))),
+           NETS)
+    @example((138, [0] + [5_000_000] * RING_ROWS), NET_PRESETS[1])
+    @example((138, list(range(0, 2 * 138 * RING_ROWS + 1, 138))), NET_PRESETS[1])
+    @example((138, [1000] * (2 * RING_ROWS + 1)), NET_PRESETS[0])
+    def test_ring_chunkwise(self, k_chunks, net):
+        k, chunks = k_chunks
+        profile = ModelProfile("chunks", sum(chunks) * FLOAT_BYTES / MB, 1, tuple(chunks))
+        rng = np.random.default_rng(net.seed)
+        walked = 0.0
+        for n in chunks:
+            walked += COMPUTE.invocation_overhead + _ring_walk(n, k, net, rng)
+        assert aggregation_comm_time(profile, k, net, COMPUTE, "ring_chunkwise") == walked
+
+    @pytest.mark.parametrize("net", NET_PRESETS, ids=["ethernet", "wifi5"])
+    @pytest.mark.parametrize("n", [0, 3, 10 ** 6 + 1])
+    def test_ring_longer_than_a_block(self, n, net):
+        k = BLOCK_MESSAGES // 2 + 2   # 2(K-1) messages: one more than a block
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        assert (collective_time(n * FLOAT_BYTES, k, net, BARE, "ring", rng)
+                == _ring_walk(n, k, net, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("net", NET_PRESETS, ids=["ethernet", "wifi5"])
+    @pytest.mark.parametrize("k", [2, 138])
+    @pytest.mark.parametrize("n_bytes", [BLOCK_MESSAGES // 2 * SEGMENT,
+                                         (BLOCK_MESSAGES // 2 + 1) * SEGMENT - 1,
+                                         3 * BLOCK_MESSAGES // 2 * SEGMENT + 12345])
+    def test_tree_longer_than_a_block(self, n_bytes, k, net):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        assert (collective_time(n_bytes, k, net, BARE, "tree", rng)
+                == _tree_walk(n_bytes, k, net, SEGMENT, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def wifi5():
+    """The wifi5 preset, once the cost model has priced a first call."""
+    net = load_net("wifi5")
+    collective_time(1, 2, net, COMPUTE, "tree")
+    return net
+
+
+def _peak_bytes(call):
+    """Most memory traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCostMemoryIsBounded:
+    """Messages are priced a block at a time, so no array holds a whole schedule."""
+
+    def test_chunkwise_aggregation_at_k138(self, wifi5):
+        profile = build_profile("ResNet-152")
+        assert _peak_bytes(lambda: aggregation_comm_time(
+            profile, 138, wifi5, COMPUTE, "ring_chunkwise")) < 2 ** 20
+
+    def test_a_16_gib_tree(self, wifi5):
+        assert _peak_bytes(lambda: collective_time(
+            16 * 2 ** 30, 16, wifi5, COMPUTE, "tree")) < 2 * 2 ** 20
 
 
 class TestSimMatchesCostModel:
