@@ -109,6 +109,15 @@ def scale_lr(base_lr: float, batch: int, mode: str = "linear") -> float:
     raise ValueError(f"unknown lr scaling mode {mode!r}")
 
 
+def make_dataset(config: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The config's blob dataset, read-only so that ranks can share one copy."""
+    dataset = make_blobs(config.dataset_size, config.model_dims[0], config.dataset_classes,
+                         seed=config.seed + 1, spread=config.dataset_spread)
+    for array in dataset:
+        array.flags.writeable = False
+    return dataset
+
+
 def shard_indices(iteration: int, rank: int, workers: int, per_device: int,
                   dataset_size: int) -> np.ndarray:
     """Deterministic disjoint shard: (iter*B + rank*b + j) mod dataset_size."""
@@ -134,15 +143,13 @@ class Worker:
     packing costs nothing: the gradients already live in one array).
     """
 
-    def __init__(self, config: TrainingConfig, endpoint):
+    def __init__(self, config: TrainingConfig, endpoint, dataset=None):
         self.config = config
         self.endpoint = endpoint
         self.compute = load_compute()
         self.group = CommGroup(endpoint)
         self.model = RealModel(config.model_dims, seed=config.seed)
-        self.dataset = make_blobs(config.dataset_size, config.model_dims[0],
-                                  config.dataset_classes, seed=config.seed + 1,
-                                  spread=config.dataset_spread)
+        self.dataset = make_dataset(config) if dataset is None else dataset
         self.lr = scale_lr(config.base_lr, config.global_batch, config.lr_scaling)
 
     def _aggregate(self) -> None:
@@ -192,10 +199,12 @@ def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
     """Run all K workers as simulated ranks; returns per-rank metrics and models.
 
     The links (ethernet preset by default) are seeded with the config's seed.
+    The ranks share one read-only copy of the dataset.
     """
     profile = load_net("ethernet") if profile is None else profile
     cluster = SimCluster(config.workers, replace(profile, seed=config.seed))
-    workers = [Worker(config, ep) for ep in cluster.endpoints]
+    dataset = make_dataset(config)
+    workers = [Worker(config, ep, dataset) for ep in cluster.endpoints]
     metrics = cluster.run(lambda endpoint: workers[endpoint.rank].run())
     return metrics, [w.model for w in workers]
 

@@ -17,6 +17,8 @@ generator instead, so a sweep can share one.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..collectives import AGGREGATIONS, ring_steps, segment_size
@@ -26,6 +28,14 @@ from ..transport.net import NetProfile, sim_transfer_time
 # Messages priced per sim_transfer_time call: few calls, and a cost call's
 # arrays stay near 0.4 MiB whatever the payload or the number of chunks.
 BLOCK_MESSAGES = 8192
+
+
+@lru_cache(maxsize=32)
+def _ring_order(k: int) -> np.ndarray:
+    """Rank 0's ring receive segments in step order, shared read-only per K."""
+    order = np.array([recv for *_, recv, _ in ring_steps(0, k)], dtype=np.int64)
+    order.flags.writeable = False
+    return order
 
 
 def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.ndarray):
@@ -40,7 +50,7 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
     if k < 1:
         raise ValueError("k must be >= 1")
     if collective == "ring":
-        order = np.array([recv for *_, recv, _ in ring_steps(0, k)], dtype=np.int64)
+        order = _ring_order(k)
         elems = n_bytes[:, None] // FLOAT_BYTES
         return len(order), lambda rows, lo, hi: (
             segment_size(elems[rows], k, order[lo:hi]) * FLOAT_BYTES)

@@ -1,14 +1,20 @@
 """Deterministic in-process transport with a virtual clock.
 
-Ranks run as cooperating tasks inside one process. Each endpoint keeps its own
-virtual clock: sends are buffered (a full-duplex NIC does the work, so the
-sender's clock does not advance) and stamped with an arrival time computed from
-the link profile; a receive blocks until the matching message exists and then
-advances the receiver's clock to at least the arrival time.
+Ranks run inside one process, each on its own thread, but only one at a time:
+the rank that holds the turn runs until a receive finds its link empty or its
+task returns, then hands the turn to the next rank in rank order that can
+run: one whose awaited link holds a message, one that has not started, or
+any rank once a rank has failed. A hand-off that finds no rank able to run is
+a deadlock, and the first blocked rank after it raises ``RecvTimeout`` at once,
+naming itself and the peer it waits on. Only the turn holder touches the
+message queues, so they need no lock.
 
+Each endpoint keeps its own virtual clock: sends are buffered (a full-duplex
+NIC does the work, so the sender's clock does not advance) and stamped with an
+arrival time computed from the link profile; a receive takes the matching
+message and advances the receiver's clock to at least the arrival time.
 Every directed link draws jitter and disconnect samples from its own seeded
-stream, so simulated durations are reproducible no matter how the task
-scheduler interleaves ranks.
+stream, so simulated durations do not depend on the order ranks run in.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ import numpy as np
 
 from ..errors import PeerDisconnected, RecvTimeout, TagMismatch
 from .net import NetProfile, sim_transfer_time
+
+# A rank's state in a run, besides "blocked on peer p" (p >= 0).
+_NEW, _DONE = -1, -2
 
 
 class SimEndpoint:
@@ -50,35 +59,32 @@ class SimEndpoint:
             raise PeerDisconnected(
                 f"simulated disconnect on link {self.rank}->{dst}", rank=dst)
         arrival = self.clock + sim_transfer_time(nbytes, self.size, cl.profile, rng)
-        with cl.cond:
-            cl.queues[(self.rank, dst)].append((tag, arrival, data))
-            cl.cond.notify_all()
+        cl.queues[(self.rank, dst)].append((tag, arrival, data))
         self.n_sends += 1
         self.bytes_sent += nbytes
 
-    def recv(self, src: int, tag: int, timeout: float = 30.0) -> np.ndarray:
+    def recv(self, src: int, tag: int) -> np.ndarray:
         if src == self.rank or not 0 <= src < self.size:
             raise ValueError(f"invalid source rank {src}")
         cl = self._cluster
         queue = cl.queues[(src, self.rank)]
-        with cl.cond:
-            ready = cl.cond.wait_for(
-                lambda: len(queue) > 0 or cl.failed is not None, timeout=timeout)
-            if not queue and cl.failed is not None:
+        if not queue and cl.turns is not None:
+            cl.pass_turn(self.rank, src)
+        if not queue:
+            if cl.failed is not None:
                 failed_rank, exc = cl.failed
                 raise PeerDisconnected(
                     f"rank {self.rank}: aborting, rank {failed_rank} failed: {exc}",
                     rank=failed_rank)
-            if not ready:
-                raise RecvTimeout(
-                    f"rank {self.rank}: no message from rank {src} tag {tag} "
-                    f"within {timeout}s", rank=src)
-            got_tag, arrival, data = queue[0]
-            if got_tag != tag:
-                raise TagMismatch(
-                    f"rank {self.rank}: expected tag {tag} from rank {src}, "
-                    f"got {got_tag}", rank=src)
-            queue.popleft()
+            raise RecvTimeout(
+                f"rank {self.rank}: no message from rank {src} tag {tag}, "
+                f"and no rank can run (deadlock)", rank=src)
+        got_tag, arrival, data = queue[0]
+        if got_tag != tag:
+            raise TagMismatch(
+                f"rank {self.rank}: expected tag {tag} from rank {src}, "
+                f"got {got_tag}", rank=src)
+        queue.popleft()
         if arrival > self.clock:
             self.clock = arrival
         return data
@@ -100,12 +106,15 @@ class SimCluster:
             raise ValueError("cluster size must be >= 1")
         self.size = size
         self.profile = profile
-        self.cond = threading.Condition()
         self.failed: tuple[int, BaseException] | None = None
         self.queues: dict[tuple[int, int], deque] = {
             (s, d): deque() for s in range(size) for d in range(size) if s != d}
         self._rngs: dict[tuple[int, int], np.random.Generator] = {}
         self.endpoints = [SimEndpoint(self, r) for r in range(size)]
+        # during run(): each rank's state, and one lock per rank that is held
+        # (so acquiring it waits) until the rank is given the turn
+        self.states: list[int] = []
+        self.turns: list[threading.Lock] | None = None
 
     def link_rng(self, src: int, dst: int) -> np.random.Generator:
         key = (src, dst)
@@ -114,31 +123,59 @@ class SimCluster:
             self._rngs[key] = np.random.default_rng(ss)
         return self._rngs[key]
 
+    def _can_run(self, rank: int) -> bool:
+        state = self.states[rank]
+        return state != _DONE and (state == _NEW or self.failed is not None
+                                   or bool(self.queues[(state, rank)]))
+
+    def pass_turn(self, rank: int, state: int) -> None:
+        """Set ``rank``'s state (the peer it awaits, or ``_DONE``) and give the turn
+        to the next rank in rank order that can run, or, when none can, to the
+        first blocked one, whose receive then reports the deadlock. Unless
+        ``rank`` is done, return when the turn comes back to it."""
+        self.states[rank] = state
+        order = [(rank + i) % self.size for i in range(1, self.size + 1)]
+        nxt = next((r for r in order if self._can_run(r)), None)
+        if nxt is None:
+            nxt = next((r for r in order if self.states[r] != _DONE), rank)
+        if nxt != rank:
+            self.turns[nxt].release()
+            if state != _DONE:
+                self.turns[rank].acquire()
+
     def run(self, fn, *args) -> list:
-        """Run ``fn(endpoint, *args)`` once per rank on worker threads.
+        """Run ``fn(endpoint, *args)`` once per rank, each on its own thread, one
+        rank at a time, starting with rank 0.
 
         Returns per-rank results; the first rank failure is re-raised after
         all threads finish.
         """
         results = [None] * self.size
+        self.states = [_NEW] * self.size
+        self.turns = [threading.Lock() for _ in range(self.size)]
+        for lock in self.turns:
+            lock.acquire()
 
         def task(rank: int):
+            self.turns[rank].acquire()
             try:
                 results[rank] = fn(self.endpoints[rank], *args)
             except BaseException as exc:  # noqa: BLE001 - propagated below
-                with self.cond:
-                    if self.failed is None:
-                        self.failed = (rank, exc)
-                    self.cond.notify_all()
+                if self.failed is None:
+                    self.failed = (rank, exc)
+            finally:
+                self.pass_turn(rank, _DONE)
 
         threads = [threading.Thread(target=task, args=(r,), daemon=True)
                    for r in range(self.size)]
         for t in threads:
             t.start()
+        self.turns[0].release()
         for t in threads:
             t.join()
+        self.turns = None
         if self.failed is not None:
-            # first failure chronologically is the root cause
+            # the first failure in turn order is the root cause
             raise self.failed[1]
         return results
 

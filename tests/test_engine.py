@@ -1,13 +1,16 @@
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ringtrain import engine
 from ringtrain.data import make_blobs
 from ringtrain.engine import (IterationMetrics, METRICS_HEADER,
                               TrainingConfig, Worker, run_training_sim, scale_lr,
                               shard_batch, shard_indices, write_metrics_csv)
+from ringtrain.errors import CommunicationError
 from ringtrain.model import RealModel
 from ringtrain.preset import load_net
 from ringtrain.transport.net import NetProfile
@@ -234,3 +237,32 @@ def test_rank_failure_names_rank_and_phase():
         cluster.run(lambda ep: workers[ep.rank].train_step(0))
     msg = str(err.value)
     assert "rank 1" in msg and "compute" in msg
+
+
+def test_the_first_simulated_failure_is_the_same_on_every_run():
+    net = replace(load_net("wifi5"), disconnect_prob=0.05)
+    failures = set()
+    for _ in range(5):
+        with pytest.raises(CommunicationError) as err:
+            run_training_sim(config(4, 8, iterations=20, seed=4), net)
+        failures.add((type(err.value), str(err.value), err.value.rank))
+    assert len(failures) == 1
+
+
+def test_simulated_ranks_share_one_read_only_dataset(monkeypatch):
+    built = []
+
+    def counted_make_blobs(*args, **kwargs):
+        built.append(make_blobs(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "make_blobs", counted_make_blobs)
+    run_training_sim(config(4, 4, iterations=2), ETH)
+    assert len(built) == 1
+    inputs, labels = built[0]
+    with pytest.raises(ValueError):
+        inputs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        labels[0] = 1
+    worker = Worker(config(1, 8, iterations=1), TcpEndpoint(0, 1, {}))   # a real worker
+    assert len(built) == 2 and worker.dataset is built[1]

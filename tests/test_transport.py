@@ -3,6 +3,7 @@ import hashlib
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -18,7 +19,7 @@ from ringtrain.errors import (CommunicationError, PeerDisconnected, ProtocolErro
 from ringtrain.transport.frame import (FRAME_MAGIC, MAX_PAYLOAD_BYTES, decode_header,
                                        encode_frame, floats_to_wire, wire_to_floats)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
-from ringtrain.transport.sim import SimCluster, sim_probe_bandwidth
+from ringtrain.transport.sim import SimCluster, SimEndpoint, sim_probe_bandwidth
 from ringtrain.transport import tcp
 from ringtrain.transport.tcp import (TAG_HELLO, TAG_PROBE_ACK, TAG_PROBE_DATA, TAG_PROBE_END,
                                      TAG_REGISTER, TAG_TABLE, Coordinator, FramedSocket,
@@ -849,7 +850,51 @@ class TestSimCluster:
     def test_sim_recv_timeout_guards_deadlock(self):
         cluster = SimCluster(2, ETH)
         with pytest.raises(RecvTimeout):
-            cluster.endpoints[0].recv(1, 0, timeout=0.1)
+            cluster.endpoints[0].recv(1, 0)
+
+    @pytest.mark.parametrize("k,task,waiting,peer", [
+        (2, lambda ep: ep.recv(1 - ep.rank, 0), 0, 1),   # each waits on the other
+        (3, lambda ep: ep.recv(0, 0) if ep.rank else None, 1, 0),   # rank 0 returns
+    ], ids=["a-cycle", "a-returned-peer"])
+    def test_a_deadlock_is_reported_at_once(self, k, task, waiting, peer):
+        t0 = time.monotonic()
+        with pytest.raises(RecvTimeout) as err:
+            SimCluster(k, ETH).run(task)
+        assert time.monotonic() - t0 < 1.0
+        assert err.value.rank == peer
+        assert str(err.value).startswith(f"rank {waiting}: no message from rank {peer} tag 0")
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_one_rank_runs_at_a_time(self, monkeypatch, k):
+        running, seen = [0], []
+        recv = SimEndpoint.recv
+
+        def counted_recv(ep, src, tag):
+            running[0] -= 1   # a rank waiting for a message is not running
+            try:
+                return recv(ep, src, tag)
+            finally:
+                running[0] += 1
+
+        def task(ep):
+            running[0] += 1
+            try:
+                for _ in range(3):
+                    seen.append(running[0])
+                    ring_allreduce(np.ones(64, np.float32), CommGroup(ep))
+                    seen.append(running[0])
+            finally:
+                running[0] -= 1
+
+        monkeypatch.setattr(SimEndpoint, "recv", counted_recv)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            SimCluster(k, ETH).run(task)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 6 * k
+        assert set(seen) == {1}
 
 
 def test_real_and_sim_transports_agree_numerically():
