@@ -27,9 +27,10 @@ from .harness import (run_aggregation_comparison, run_collective_bench,
                       run_efficiency_sweep, run_rar_vs_tree,
                       run_scaling_experiment, run_thermal_scenario)
 from .preset import load_compute, load_net, load_thermal
-from .transport.sim import sim_probe_bandwidth
-from .transport.tcp import (DEFAULT_TIMEOUT, Coordinator, listen, rendezvous, serve_probe,
-                            tcp_probe_client)
+from .transport.net import sim_transfer_time
+from .transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES, sim_probe_bandwidth
+from .transport.tcp import (DEFAULT_TIMEOUT, MAX_TIMEOUT, Coordinator, listen, rendezvous,
+                            serve_probe, tcp_probe_client)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -283,8 +284,9 @@ def _print_rates(rates: list[float], label: str) -> None:
 
 
 def cmd_probe(args) -> int:
-    if args.repeat < 1 or args.seconds <= 0:
-        raise ValueError("probe needs --repeat >= 1 and --seconds > 0")
+    if args.repeat < 1 or not 0 < args.seconds < float("inf"):
+        raise ValueError(f"probe needs --repeat >= 1 and --seconds > 0 and finite, "
+                         f"got {args.repeat} and {args.seconds}")
     if args.server:
         listener = listen(*args.bind, backlog=1)
         host, port = listener.getsockname()[:2]
@@ -294,6 +296,11 @@ def cmd_probe(args) -> int:
     if args.sim:
         profile = load_net(args.sim)
         profile = replace(profile, seed=_resolved_seed(args.seed, profile.seed))
+        per_message = sim_transfer_time(PROBE_MESSAGE_BYTES, 2, replace(profile, jitter_frac=0.0))
+        if args.repeat * args.seconds > MAX_PROBE_MESSAGES * per_message:
+            raise ValueError(f"probe --sim of {args.repeat} x {args.seconds} s needs more than "
+                             f"the {MAX_PROBE_MESSAGES} messages a simulated probe may send "
+                             f"({per_message:.3g} s each on {args.sim})")
         rates, aborted = [], False
         for i in range(args.repeat):
             rate, bad = sim_probe_bandwidth(replace(profile, seed=profile.seed + i),
@@ -326,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.command in ("worker", "launch") and not 0 < args.timeout <= MAX_TIMEOUT:
+            raise ValueError(f"--timeout must be > 0 and at most {MAX_TIMEOUT} s, "
+                             f"got {args.timeout}")
         if args.command == "worker":
             return cmd_worker(args)
         if args.command == "launch":

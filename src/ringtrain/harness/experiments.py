@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,7 @@ import numpy as np
 from .. import __version__
 from ..collectives import AGGREGATIONS
 from ..errors import AssertionFailure
-from ..preset import ThermalPreset
-from ..profiles import ComputeProfile, ModelProfile, all_profiles, build_profile
+from ..profiles import ComputeProfile, ModelProfile, ThermalPreset, all_profiles, build_profile
 from ..transport.net import NetProfile
 from .cost import aggregation_comm_time, collective_time
 
@@ -211,7 +210,7 @@ def run_rar_vs_tree(model: str, k_list: list[int], net: NetProfile,
 
 def run_thermal_scenario(thermal: ThermalPreset, duration_s: float,
                          fan_on: bool) -> ExperimentReport:
-    """Iterate compute+idle cycles under the thermal model for a virtual duration.
+    """Iterate compute+idle cycles under the thermal preset for a virtual duration.
 
     Returns one row per iteration; the temperature series rides in metadata.
     With the fan on, the cooling rate is multiplied, which keeps the device
@@ -223,16 +222,15 @@ def run_thermal_scenario(thermal: ThermalPreset, duration_s: float,
     if rows_needed > MAX_THERMAL_ROWS:
         raise ValueError(f"duration {duration_s} s needs up to {rows_needed:.0f} rows, "
                          f"over the {MAX_THERMAL_ROWS} a thermal run may write")
-    fan = thermal.fan_cool_multiplier if fan_on else 1.0
-    state = replace(thermal, cool_rate=thermal.cool_rate * fan)
+    cool_rate = thermal.cool_rate * (thermal.fan_cool_multiplier if fan_on else 1.0)
+    temp = thermal.ambient
     rows = []
     temps = []
     elapsed = 0.0
     while elapsed < duration_s:
-        temps.append(state.temp)
-        t_comp = thermal.baseline_t_comp_s * state.multiplier()
-        state.heat(t_comp)
-        state.cool(thermal.idle_s)
+        temps.append(temp)
+        t_comp = thermal.baseline_t_comp_s * thermal.multiplier(temp)
+        temp = max(thermal.ambient, temp + thermal.heat_rate * t_comp - cool_rate * thermal.idle_s)
         rows.append(ReportRow("thermal-baseline", 1, "fan_on" if fan_on else "fan_off",
                               t_comp, thermal.idle_s))
         elapsed += t_comp + thermal.idle_s

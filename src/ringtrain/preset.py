@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
-from .profiles import ComputeProfile, ThermalModel
+from .profiles import ComputeProfile, ThermalPreset
 from .transport.net import NetProfile
 
 
@@ -34,7 +33,7 @@ def json_fits(value, hint) -> bool:
     origin, args = get_origin(hint), get_args(hint)
     if hint is float:
         return type(value) in (int, float)   # not isinstance: a bool is an int
-    if hint in (int, str, type(None)):
+    if hint in (int, str):
         return type(value) is hint
     if origin is list:
         return isinstance(value, list) and all(json_fits(v, args[0]) for v in value)
@@ -44,8 +43,6 @@ def json_fits(value, hint) -> bool:
     if origin is dict:
         return isinstance(value, dict) and all(
             json_fits(k, args[0]) and json_fits(v, args[1]) for k, v in value.items())
-    if origin in (Union, UnionType):
-        return any(json_fits(value, arg) for arg in args)
     raise TypeError(f"no JSON rule for the type {hint}")
 
 
@@ -78,21 +75,6 @@ def load_net(name_or_path: str | Path) -> NetProfile:
 
 def load_compute(name_or_path: str | Path = "compute_s10") -> ComputeProfile:
     return from_json_object(ComputeProfile, json.loads(preset_path(name_or_path).read_text()))
-
-
-@dataclass(kw_only=True)
-class ThermalPreset(ThermalModel):
-    """A thermal preset file: the model's fields and the scenario's defaults."""
-
-    baseline_t_comp_s: float
-    idle_s: float
-    fan_cool_multiplier: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.baseline_t_comp_s > 0 and self.idle_s >= 0 and self.fan_cool_multiplier > 0):
-            raise ValueError("thermal preset needs baseline_t_comp_s > 0, idle_s >= 0 "
-                             "and fan_cool_multiplier > 0")
 
 
 def load_thermal(name_or_path: str | Path = "thermal_s10") -> ThermalPreset:

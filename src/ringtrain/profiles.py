@@ -4,7 +4,7 @@ A model profile describes the communication-relevant footprint of a network
 without carrying its weights: total gradient size in MB (1 MB = 2^20 bytes),
 the number of gradient chunks transferred during aggregation, and the largest
 per-device mini-batch the reference device memory allows. The compute profile
-prices a device's work on a model; the thermal model throttles it.
+prices a device's work on a model; the thermal preset throttles it.
 """
 
 from __future__ import annotations
@@ -134,30 +134,33 @@ class ComputeProfile:
 
 
 @dataclass
-class ThermalModel:
-    """Step-function thermal throttling driven by a scalar temperature state.
+class ThermalPreset:
+    """A thermal preset file: step-function throttling and its scenario's defaults.
 
     Computation heats the device at ``heat_rate`` degrees per second; idle
-    time cools it at ``cool_rate`` degrees per second, never below ambient.
-    ``tiers`` lists (threshold, multiplier) pairs with strictly increasing
-    thresholds and non-decreasing multipliers >= 1; compute time is scaled by
-    the multiplier of the highest tier whose threshold the temperature has
-    reached.
+    time cools it at ``cool_rate`` degrees per second (``fan_cool_multiplier``
+    times that with the fan on), never below ambient. ``tiers`` lists
+    (threshold, multiplier) pairs with strictly increasing thresholds and
+    non-decreasing multipliers >= 1; compute time is scaled by the multiplier
+    of the highest tier whose threshold the temperature has reached. A scenario
+    cycle computes for ``baseline_t_comp_s`` times that multiplier, then idles
+    for ``idle_s``.
     """
 
     ambient: float
     heat_rate: float
     cool_rate: float
-    tiers: list[tuple[float, float]] = field(default_factory=list)
-    temp: float | None = None
+    tiers: list[tuple[float, float]]
+    baseline_t_comp_s: float
+    idle_s: float
+    fan_cool_multiplier: float
 
     def __post_init__(self):
-        if self.temp is None:
-            self.temp = self.ambient
-        if self.temp < self.ambient:
-            raise ValueError("temperature cannot start below ambient")
         if self.heat_rate < 0 or self.cool_rate < 0:
             raise ValueError("heat_rate and cool_rate must be >= 0")
+        if not (self.baseline_t_comp_s > 0 and self.idle_s >= 0 and self.fan_cool_multiplier > 0):
+            raise ValueError("thermal preset needs baseline_t_comp_s > 0, idle_s >= 0 "
+                             "and fan_cool_multiplier > 0")
         self.tiers = [tuple(t) for t in self.tiers]
         prev_thresh, prev_mult = -float("inf"), 1.0
         for thresh, mult in self.tiers:
@@ -167,15 +170,10 @@ class ThermalModel:
                 raise ValueError("tier multipliers must be non-decreasing and >= 1")
             prev_thresh, prev_mult = thresh, mult
 
-    def multiplier(self) -> float:
+    def multiplier(self, temp: float) -> float:
+        """The compute-time multiplier at temperature ``temp``."""
         mult = 1.0
         for thresh, m in self.tiers:
-            if self.temp >= thresh:
+            if temp >= thresh:
                 mult = m
         return mult
-
-    def heat(self, compute_seconds: float) -> None:
-        self.temp += self.heat_rate * compute_seconds
-
-    def cool(self, idle_seconds: float) -> None:
-        self.temp = max(self.ambient, self.temp - self.cool_rate * idle_seconds)

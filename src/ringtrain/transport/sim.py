@@ -143,8 +143,8 @@ class SimCluster:
             if state != _DONE:
                 self.turns[rank].acquire()
 
-    def run(self, fn, *args) -> list:
-        """Run ``fn(endpoint, *args)`` once per rank, each on its own thread, one
+    def run(self, fn) -> list:
+        """Run ``fn(endpoint)`` once per rank, each on its own thread, one
         rank at a time, starting with rank 0.
 
         Returns per-rank results; the first rank failure is re-raised after
@@ -159,7 +159,7 @@ class SimCluster:
         def task(rank: int):
             self.turns[rank].acquire()
             try:
-                results[rank] = fn(self.endpoints[rank], *args)
+                results[rank] = fn(self.endpoints[rank])
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 if self.failed is None:
                     self.failed = (rank, exc)
@@ -180,13 +180,19 @@ class SimCluster:
         return results
 
 
+# The simulated probe streams messages of this size. The CLI refuses a probe
+# whose repeats could need more than MAX_PROBE_MESSAGES of them in all, about
+# 10 s of simulation, rather than run for minutes or forever.
+PROBE_MESSAGE_BYTES = 4 * 2 ** 20
+MAX_PROBE_MESSAGES = 10_000_000
+
+
 def sim_probe_bandwidth(profile: NetProfile, duration_s: float) -> tuple[float, bool]:
     """Simulated point-to-point probe: stream 4 MiB messages for a virtual duration.
 
     Returns (Mbps, aborted). With disconnect_prob == 1 the very first message
     drops and the probe aborts with a partial-result flag.
     """
-    message_bytes = 4 * 2 ** 20
     rng = np.random.default_rng(profile.seed)
     elapsed = 0.0
     acked = 0
@@ -195,8 +201,8 @@ def sim_probe_bandwidth(profile: NetProfile, duration_s: float) -> tuple[float, 
         if profile.disconnect_prob > 0 and rng.random() < profile.disconnect_prob:
             aborted = True
             break
-        elapsed += sim_transfer_time(message_bytes, 2, profile, rng)
-        acked += message_bytes
+        elapsed += sim_transfer_time(PROBE_MESSAGE_BYTES, 2, profile, rng)
+        acked += PROBE_MESSAGE_BYTES
     if elapsed <= 0.0:
         return 0.0, aborted
     return acked * 8.0 / (1e6 * elapsed), aborted

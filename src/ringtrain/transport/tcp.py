@@ -27,6 +27,8 @@ from ..preset import json_fits
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
 
 DEFAULT_TIMEOUT = 30.0
+# the longest wait a poll selector takes, 2**31 - 1 ms (about 24.8 days), in whole seconds
+MAX_TIMEOUT = (2 ** 31 - 1) // 1000
 
 # control tags live at the top of the u32 space, clear of collective tags
 TAG_REGISTER = 0xFFFF0001
@@ -209,10 +211,8 @@ class TcpEndpoint:
                         None if src is None else self._conn(src), self.timeout, dst, src)
         return None if src is None else self._floats(src, tag, got)
 
-    def recv(self, src: int, tag: int, timeout: float | None = None) -> np.ndarray:
-        got = _exchange(None, (), self._conn(src),
-                        self.timeout if timeout is None else timeout, src=src)
-        return self._floats(src, tag, got)
+    def recv(self, src: int, tag: int) -> np.ndarray:
+        return self._floats(src, tag, _exchange(None, (), self._conn(src), self.timeout, src=src))
 
     def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
         """Send ``payload`` to ``dst`` while receiving the ``src`` message with the same tag."""

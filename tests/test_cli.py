@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ import pytest
 from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VARS, main
 from ringtrain.engine import TrainingConfig
 from ringtrain.errors import CommunicationError, ProtocolError, TagMismatch
-from ringtrain.preset import load_thermal, preset_path
+from ringtrain.preset import load_net, load_thermal, preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
+from ringtrain.transport.net import sim_transfer_time
+from ringtrain.transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES
 from ringtrain.transport.tcp import (TAG_PROBE_ACK, TAG_PROBE_DATA, TAG_PROBE_END, Coordinator,
                                      FramedSocket, rendezvous, tcp_probe_client)
 
@@ -138,6 +141,28 @@ def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, cap
     assert time.perf_counter() - t0 < 1.5   # rank 0 alone would hold it 2 s, rendezvous 5 s
     assert code == 2
     assert "worker rank 1 exited with code 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "3e6"])
+@pytest.mark.parametrize("command", [
+    ["launch", "--workers", "2"],
+    ["worker", "--rank", "0", "--size", "2", "--coordinator", "127.0.0.1:1"],
+], ids=["launch", "worker"])
+def test_a_timeout_out_of_range_exits_2_before_any_socket_or_worker(command, timeout, tmp_path,
+                                                                    monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a socket was opened or a worker started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(socket, "socket", refuse)
+    assert run_cli(*command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   f"--timeout={timeout}") == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --timeout must be > 0 and at most 2147483 s, got {float(timeout)}"]
 
 
 def _cores():
@@ -354,12 +379,27 @@ def test_probe_real_loopback(probe_session, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--repeat", "0"], ["--repeat", "-2"],
-                                   ["--seconds", "0"], ["--seconds", "-1"]])
+                                   ["--seconds", "0"], ["--seconds", "-1"],
+                                   ["--seconds", "nan"], ["--seconds", "inf"]])
 @pytest.mark.parametrize("mode", [["--sim", "wifi5"], ["--client", "127.0.0.1:1"]],
                          ids=["sim", "client"])
 def test_probe_without_repeats_or_time_exits_2(mode, flags, capsys):
     assert run_cli("probe", *mode, *flags) == EXIT_USAGE
     assert "--repeat >= 1 and --seconds > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("net", ["ethernet", "wifi5"])
+def test_a_sim_probe_over_the_message_cap_exits_2_at_once(net, capsys):
+    """The cap counts messages at the preset's jitter-free transfer time."""
+    per_message = sim_transfer_time(PROBE_MESSAGE_BYTES, 2,
+                                    replace(load_net(net), jitter_frac=0.0))
+    seconds = 1.01 * MAX_PROBE_MESSAGES * per_message / 2
+    t0 = time.perf_counter()
+    assert run_cli("probe", "--sim", net, "--seconds", str(seconds),
+                   "--repeat", "2") == EXIT_USAGE
+    assert time.perf_counter() - t0 < 1.0
+    assert f"the {MAX_PROBE_MESSAGES} messages a simulated probe may send" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("frames", [[(7, b"")], [(TAG_PROBE_DATA, b"x" * 10)]],
@@ -471,6 +511,18 @@ def test_config_file_with_wrong_keys_exits_2(argv, config, tmp_path, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,message", [
+    ({**THERMAL, "temp": 30.0}, "unknown keys ['temp']"),
+    ({k: v for k, v in THERMAL.items() if k != "tiers"}, "missing keys ['tiers']"),
+], ids=["start-temperature", "no-tiers"])
+def test_a_thermal_file_must_hold_exactly_the_preset_keys(config, message, tmp_path, capsys):
+    path = tmp_path / "thermal.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("sim", "thermal", "--thermal", str(path),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert f"config error: ThermalPreset config: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,config", [
     (["launch", "--workers", "2", "--config"],
      {"global_batch": 4, "per_device_batch": 2, "workers": "2"}),
@@ -505,10 +557,11 @@ BASE = {"global_batch": 4, "per_device_batch": 2, "workers": 2}
      "work_per_sample must be of type dict[str, float]"),
     (["sim", "thermal", "--thermal"], {**THERMAL, "tiers": [[42.0, 1.1, 3.0]]},
      "tiers must be of type list[tuple[float, float]]"),
-    (["sim", "thermal", "--thermal"], {**THERMAL, "temp": "hot"}, "temp must be of type float | None"),
+    (["sim", "thermal", "--thermal"], {**THERMAL, "heat_rate": "hot"},
+     "heat_rate must be of type float, got \"hot\""),
 ], ids=["launch-string-lr", "launch-zero-width-layer", "launch-float-dim", "launch-bool-iterations",
         "launch-int-aggregation", "sim-float-seed", "sim-bool-work", "thermal-long-tier",
-        "thermal-string-temp"])
+        "thermal-string-heat-rate"])
 def test_config_values_are_checked_against_their_field_types(argv, config, message, tmp_path,
                                                              capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -517,11 +570,10 @@ def test_config_values_are_checked_against_their_field_types(argv, config, messa
     assert message in capsys.readouterr().err
 
 
-def test_an_int_is_a_float_and_null_fits_an_optional_field(tmp_path):
+def test_an_int_is_a_float(tmp_path):
     path = tmp_path / "thermal.json"
-    path.write_text(json.dumps({**THERMAL, "ambient": 25, "temp": None}))
-    thermal = load_thermal(path)
-    assert (thermal.ambient, thermal.temp) == (25, 25)
+    path.write_text(json.dumps({**THERMAL, "ambient": 25}))
+    assert load_thermal(path).ambient == 25
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "base_lr": 1, "iterations": 1}))
     assert TrainingConfig.from_json(cfg_path).base_lr == 1

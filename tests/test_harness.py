@@ -20,7 +20,7 @@ from ringtrain.harness import (aggregation_comm_time, collective_time,
                                simulate_iteration)
 from ringtrain.harness.cost import BLOCK_MESSAGES
 from ringtrain.preset import load_compute, load_net, load_thermal
-from ringtrain.profiles import (FLOAT_BYTES, MB, ComputeProfile, ModelProfile, ThermalModel,
+from ringtrain.profiles import (FLOAT_BYTES, MB, ComputeProfile, ModelProfile, ThermalPreset,
                                 build_profile)
 from ringtrain.transport.net import NetProfile, sim_transfer_time
 from ringtrain.transport.sim import SimCluster
@@ -48,29 +48,21 @@ class TestComputeProfile:
 
 
 class TestThermalModel:
-    def make(self):
-        return ThermalModel(ambient=25.0, heat_rate=0.1, cool_rate=0.05,
-                            tiers=[(42.0, 1.148), (55.0, 1.363)])
-
-    def test_temperature_never_below_ambient(self):
-        t = self.make()
-        t.cool(1e9)
-        assert t.temp == 25.0
+    def make(self, tiers):
+        return ThermalPreset(ambient=25.0, heat_rate=0.1, cool_rate=0.05, tiers=tiers,
+                             baseline_t_comp_s=18.2, idle_s=5.0, fan_cool_multiplier=20.0)
 
     def test_multiplier_is_nondecreasing_step_function(self):
-        t = self.make()
-        mults = []
-        for temp in np.arange(25.0, 70.0, 0.5):
-            t.temp = temp
-            mults.append(t.multiplier())
+        t = self.make([(42.0, 1.148), (55.0, 1.363)])
+        mults = [t.multiplier(temp) for temp in np.arange(25.0, 70.0, 0.5)]
         assert mults == sorted(mults)
         assert set(mults) == {1.0, 1.148, 1.363}
 
     def test_invalid_tiers_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalModel(25, 0.1, 0.05, tiers=[(50.0, 1.2), (40.0, 1.3)])
-        with pytest.raises(ValueError):
-            ThermalModel(25, 0.1, 0.05, tiers=[(40.0, 1.3), (50.0, 1.2)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.make([(50.0, 1.2), (40.0, 1.3)])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            self.make([(40.0, 1.3), (50.0, 1.2)])
 
 
 class TestCostModel:

@@ -124,10 +124,10 @@ class TestFramedTcp:
     ], ids=["bad-magic", "oversized-length"])
     def test_corrupt_frame_names_the_sending_rank(self, header):
         a, b = socket_pair()
-        endpoint = TcpEndpoint(0, 2, {1: a})
+        endpoint = TcpEndpoint(0, 2, {1: a}, timeout=5.0)
         b.sock.sendall(header)
         with pytest.raises(WireProtocolError) as info:
-            endpoint.recv(1, 7, timeout=5.0)
+            endpoint.recv(1, 7)
         assert info.value.rank == 1
         a.close(), b.close()
 
@@ -140,6 +140,12 @@ class TestFramedTcp:
         tag, data = b.recv_frame(timeout=5.0)
         assert tag == 9
         assert wire_to_floats(data).tobytes() == payload.tobytes()
+        a.close(), b.close()
+
+    def test_the_longest_timeout_fits_the_selector(self):
+        a, b = socket_pair()
+        a.send_frame(7, b"abc", timeout=tcp.MAX_TIMEOUT)
+        assert b.recv_frame(timeout=tcp.MAX_TIMEOUT) == (7, bytearray(b"abc"))
         a.close(), b.close()
 
     def test_recv_timeout(self):
@@ -195,17 +201,17 @@ class TestFramedTcp:
             b.recv_frame(timeout=1.0)
         b.close()
 
-    def test_zero_timeout_recv_polls_and_keeps_the_link(self):
+    def test_a_recv_that_times_out_before_its_first_byte_keeps_the_link(self):
         a, b = socket_pair()
-        endpoint = TcpEndpoint(0, 2, {1: a})
-        endpoint.timeout = 1.5
+        endpoint = TcpEndpoint(0, 2, {1: a}, timeout=0.05)
         t0 = time.perf_counter()
         with pytest.raises(RecvTimeout):
-            endpoint.recv(1, 7, timeout=0)
+            endpoint.recv(1, 7)
         assert time.perf_counter() - t0 < 1.0
         assert not a.dead
         payload = np.arange(3, dtype=np.float32)
         b.send_frame(7, floats_to_wire(payload))
+        endpoint.timeout = 5.0
         assert (endpoint.recv(1, 7) == payload).all()
         a.close(), b.close()
 
@@ -276,12 +282,12 @@ def tcp_mesh(size):
 
 
 class TestTcpSendTimeout:
-    def test_a_short_recv_timeout_does_not_bound_the_next_send(self):
+    def test_a_large_send_to_a_slow_reader_completes_after_a_recv_timeout(self):
         a, b = socket_pair()
-        endpoint = TcpEndpoint(0, 2, {1: a})
-        endpoint.timeout = 5.0
+        endpoint = TcpEndpoint(0, 2, {1: a}, timeout=0.01)
         with pytest.raises(RecvTimeout):
-            endpoint.recv(1, 7, timeout=0.01)
+            endpoint.recv(1, 7)
+        endpoint.timeout = 5.0
         payload = np.arange(4 * 2 ** 20, dtype=np.float32)   # 16 MB, beyond the socket buffers
         got = []
 
