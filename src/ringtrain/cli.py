@@ -3,6 +3,10 @@
 Exit codes are a stable contract for CI: 0 success, 2 usage/config error,
 3 communication failure, 4 embedded assertion failure. ``RINGTRAIN_SEED``
 overrides the seed from any config or preset; explicit flags override both.
+
+Each subcommand imports what only it runs (the engine, the harness, the
+simulated transport) when it starts, so ``launch`` starts its workers without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -18,17 +22,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .engine import TrainingConfig, Worker, write_metrics_csv
 from .errors import AssertionFailure, CommunicationError
-from .harness import (run_aggregation_comparison, run_collective_bench,
-                      run_efficiency_sweep, run_rar_vs_tree,
-                      run_scaling_experiment, run_thermal_scenario)
-from .preset import load_compute, load_net, load_thermal
-from .transport.net import sim_transfer_time
-from .transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES, sim_probe_bandwidth
+from .preset import TrainingConfig, load_compute, load_net, load_thermal
 from .transport.tcp import (DEFAULT_TIMEOUT, MAX_TIMEOUT, Coordinator, listen, rendezvous,
                             serve_probe, tcp_probe_client)
 
@@ -144,6 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_worker(args) -> int:
+    import numpy as np
+    from .engine import Worker, write_metrics_csv
+
     config = TrainingConfig.from_json(args.config)
     if not 0 <= args.rank < args.size or args.size != config.workers:
         raise ValueError(f"rank/size {args.rank}/{args.size} inconsistent with config "
@@ -181,6 +180,13 @@ def _worker_env(workers: int) -> dict[str, str]:
     for var in THREAD_VARS:
         env.setdefault(var, str(max(1, cores // workers)))
     return env
+
+
+def _signal_name(signum: int) -> str:
+    try:
+        return signal.Signals(signum).name
+    except ValueError:       # a real-time signal has no name of its own
+        return f"signal {signum}"
 
 
 def cmd_launch(args, argv: list[str]) -> int:
@@ -229,8 +235,11 @@ def cmd_launch(args, argv: list[str]) -> int:
     coordinator.join()
     if failed is not None:
         rank, code = failed
-        print(f"worker rank {rank} exited with code {code}", file=sys.stderr)
-        return code
+        if code > 0:
+            print(f"worker rank {rank} exited with code {code}", file=sys.stderr)
+            return code
+        print(f"worker rank {rank} was killed by {_signal_name(-code)}", file=sys.stderr)
+        return EXIT_COMM
 
     report = out / "report.csv"
     report.write_text((out / "metrics_rank0.csv").read_text())
@@ -241,6 +250,10 @@ def cmd_launch(args, argv: list[str]) -> int:
 
 
 def cmd_sim(args, argv: list[str]) -> int:
+    from .harness import (run_aggregation_comparison, run_collective_bench,
+                          run_efficiency_sweep, run_rar_vs_tree,
+                          run_scaling_experiment, run_thermal_scenario)
+
     net = load_net(args.net)
     compute = load_compute(args.compute)
     seed = _resolved_seed(args.seed, net.seed)
@@ -294,6 +307,9 @@ def cmd_probe(args) -> int:
         serve_probe(listener)
         return EXIT_OK
     if args.sim:
+        from .transport.net import sim_transfer_time
+        from .transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES, sim_probe_bandwidth
+
         profile = load_net(args.sim)
         profile = replace(profile, seed=_resolved_seed(args.seed, profile.seed))
         per_message = sim_transfer_time(PROBE_MESSAGE_BYTES, 2, replace(profile, jitter_frac=0.0))

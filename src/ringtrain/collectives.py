@@ -24,15 +24,6 @@ import numpy as np
 
 from .errors import LayoutError, ProtocolError
 
-# Each aggregation strategy: the collective it runs and whether it packs all
-# gradient chunks into one buffer (one invocation per step) or runs one
-# invocation per chunk. The executor and the cost model both read this table.
-AGGREGATIONS = {
-    "ring_packed": ("ring", True),
-    "tree_packed": ("tree", True),
-    "ring_chunkwise": ("ring", False),
-}
-
 # Each collective invocation claims a block of tags so that concurrent or
 # back-to-back calls can never match each other's messages.
 _TAG_BLOCK = 1 << 12

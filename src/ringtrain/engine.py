@@ -10,21 +10,19 @@ bit-identical weights after every iteration.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .collectives import AGGREGATIONS, CommGroup, ring_allreduce, tree_allreduce
+from .collectives import CommGroup, ring_allreduce, tree_allreduce
 from .data import make_blobs
 from .errors import CommunicationError, RingtrainError
 from .model import RealModel
-from .preset import from_json_object, load_compute, load_net
-from .transport.net import NetProfile
+from .preset import AGGREGATIONS, TrainingConfig, load_compute, load_net
+from .profiles import NetProfile
 from .transport.sim import SimCluster
 
-LR_SCALINGS = ("none", "linear")
 LR_REFERENCE_BATCH = 32
 
 METRICS_HEADER = "iter,rank,t_comp_s,t_comm_s,loss"
@@ -32,58 +30,6 @@ METRICS_HEADER = "iter,rank,t_comp_s,t_comm_s,loss"
 
 class TrainingError(RingtrainError):
     """A rank failed mid-run; the message names the rank and phase."""
-
-
-@dataclass
-class TrainingConfig:
-    global_batch: int
-    per_device_batch: int
-    workers: int
-    base_lr: float = 0.01
-    weight_decay: float = 0.0002
-    iterations: int = 100
-    seed: int = 0
-    aggregation: str = "ring_packed"
-    lr_scaling: str = "none"
-    model_dims: list[int] = field(default_factory=lambda: [2, 16, 2])
-    dataset_size: int = 512
-    dataset_classes: int = 2
-    dataset_spread: float = 0.6
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "TrainingConfig":
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.global_batch != self.per_device_batch * self.workers:
-            raise ValueError(
-                f"global_batch {self.global_batch} != per_device_batch "
-                f"{self.per_device_batch} * workers {self.workers}")
-        if self.per_device_batch < 1:
-            raise ValueError("per_device_batch must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {tuple(AGGREGATIONS)}")
-        if self.lr_scaling not in LR_SCALINGS:
-            raise ValueError(f"lr_scaling must be one of {LR_SCALINGS}")
-        if self.dataset_size < self.global_batch:
-            raise ValueError("dataset must hold at least one global batch")
-        if len(self.model_dims) < 2:
-            raise ValueError("model_dims needs an input and an output dim")
-        if min(self.model_dims) < 1:
-            raise ValueError("every model_dims entry must be >= 1")
-        if self.model_dims[-1] != self.dataset_classes:
-            raise ValueError("model output dim must equal dataset class count")
-        return self
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TrainingConfig":
-        return from_json_object(cls, json.loads(Path(path).read_text()))
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
 
 @dataclass

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..profiles import ComputeProfile, build_profile
-from ..transport.net import NetProfile
+from ..profiles import ComputeProfile, NetProfile, build_profile
 from .cost import aggregation_comm_time, collective_time
 
 ANCHOR_37_5_MB = int(37.5 * 2 ** 20)

@@ -21,9 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..collectives import AGGREGATIONS, ring_steps, segment_size
-from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile
-from ..transport.net import NetProfile, sim_transfer_time
+from ..collectives import ring_steps, segment_size
+from ..preset import AGGREGATIONS
+from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile, NetProfile
+from ..transport.net import sim_transfer_time
 
 # Messages priced per sim_transfer_time call: few calls, and a cost call's
 # arrays stay near 0.4 MiB whatever the payload or the number of chunks.

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..collectives import AGGREGATIONS
 from ..errors import AssertionFailure
-from ..profiles import ComputeProfile, ModelProfile, ThermalPreset, all_profiles, build_profile
-from ..transport.net import NetProfile
+from ..preset import AGGREGATIONS
+from ..profiles import (ComputeProfile, ModelProfile, NetProfile, ThermalPreset, all_profiles,
+                        build_profile)
 from .cost import aggregation_comm_time, collective_time
 
 REPORT_HEADER = "experiment,mode,model,K,alg,t_comp_s,t_comm_s,t_total_s,efficiency"

@@ -1,16 +1,31 @@
-"""Access to the JSON presets shipped inside the package."""
+"""The JSON files ringtrain reads: the presets shipped inside the package and
+the training config, each loaded into its dataclass under one type rule.
+
+Nothing here imports numpy, so the launcher reads its config and starts its
+workers before any numerical code is loaded.
+"""
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .profiles import ComputeProfile, ThermalPreset
-from .transport.net import NetProfile
+from .profiles import ComputeProfile, NetProfile, ThermalPreset
+
+# Each aggregation strategy: the collective it runs and whether it packs all
+# gradient chunks into one buffer (one invocation per step) or runs one
+# invocation per chunk. The executor and the cost model both read this table.
+AGGREGATIONS = {
+    "ring_packed": ("ring", True),
+    "tree_packed": ("tree", True),
+    "ring_chunkwise": ("ring", False),
+}
+
+LR_SCALINGS = ("none", "linear")
 
 
 def preset_path(name_or_path: str | Path) -> Path:
@@ -79,3 +94,55 @@ def load_compute(name_or_path: str | Path = "compute_s10") -> ComputeProfile:
 
 def load_thermal(name_or_path: str | Path = "thermal_s10") -> ThermalPreset:
     return from_json_object(ThermalPreset, json.loads(preset_path(name_or_path).read_text()))
+
+
+@dataclass
+class TrainingConfig:
+    global_batch: int
+    per_device_batch: int
+    workers: int
+    base_lr: float = 0.01
+    weight_decay: float = 0.0002
+    iterations: int = 100
+    seed: int = 0
+    aggregation: str = "ring_packed"
+    lr_scaling: str = "none"
+    model_dims: list[int] = field(default_factory=lambda: [2, 16, 2])
+    dataset_size: int = 512
+    dataset_classes: int = 2
+    dataset_spread: float = 0.6
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> "TrainingConfig":
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.global_batch != self.per_device_batch * self.workers:
+            raise ValueError(
+                f"global_batch {self.global_batch} != per_device_batch "
+                f"{self.per_device_batch} * workers {self.workers}")
+        if self.per_device_batch < 1:
+            raise ValueError("per_device_batch must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if self.aggregation not in AGGREGATIONS:
+            raise ValueError(f"aggregation must be one of {tuple(AGGREGATIONS)}")
+        if self.lr_scaling not in LR_SCALINGS:
+            raise ValueError(f"lr_scaling must be one of {LR_SCALINGS}")
+        if self.dataset_size < self.global_batch:
+            raise ValueError("dataset must hold at least one global batch")
+        if len(self.model_dims) < 2:
+            raise ValueError("model_dims needs an input and an output dim")
+        if min(self.model_dims) < 1:
+            raise ValueError("every model_dims entry must be >= 1")
+        if self.model_dims[-1] != self.dataset_classes:
+            raise ValueError("model output dim must equal dataset class count")
+        return self
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "TrainingConfig":
+        return from_json_object(cls, json.loads(Path(path).read_text()))
+
+    def to_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")

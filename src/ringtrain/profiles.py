@@ -1,10 +1,11 @@
-"""Model, device-compute and thermal profiles.
+"""Model, device-compute, thermal and network profiles.
 
 A model profile describes the communication-relevant footprint of a network
 without carrying its weights: total gradient size in MB (1 MB = 2^20 bytes),
 the number of gradient chunks transferred during aggregation, and the largest
 per-device mini-batch the reference device memory allows. The compute profile
-prices a device's work on a model; the thermal preset throttles it.
+prices a device's work on a model; the thermal preset throttles it; the net
+profile describes the link the simulated transport prices messages on.
 """
 
 from __future__ import annotations
@@ -177,3 +178,30 @@ class ThermalPreset:
             if temp >= thresh:
                 mult = m
         return mult
+
+
+@dataclass(frozen=True)
+class NetProfile:
+    """One shared medium: nominal point-to-point bandwidth, a per-message latency
+    floor, a lognormal jitter width applied to the bandwidth term, a contention
+    coefficient that divides effective bandwidth as more nodes share the medium,
+    and a per-message disconnect probability."""
+
+    base_bandwidth: float      # megabits per second
+    latency: float             # seconds per message
+    jitter_frac: float = 0.0   # std-dev fraction of the transfer time
+    contention_coeff: float = 0.0
+    disconnect_prob: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.base_bandwidth <= 0:
+            raise ValueError("base_bandwidth must be positive")
+        if not 0.0 <= self.disconnect_prob < 1.0:
+            raise ValueError("disconnect_prob must be in [0, 1)")
+        if self.jitter_frac < 0 or self.contention_coeff < 0 or self.latency < 0:
+            raise ValueError("latency, jitter_frac and contention_coeff must be >= 0")
+
+    def effective_bandwidth(self, k_active: int) -> float:
+        """Shared-medium bandwidth in Mbps when ``k_active`` nodes are up."""
+        return self.base_bandwidth / (1.0 + self.contention_coeff * max(0, k_active - 2))

@@ -16,10 +16,12 @@ receiver rejects a longer length before it allocates anything.
 from __future__ import annotations
 
 import struct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import WireProtocolError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FRAME_MAGIC = b"RTRN"
 _HEADER = struct.Struct(">4sII")
@@ -49,10 +51,12 @@ def decode_header(header: bytes) -> tuple[int, int]:
 
 def floats_to_wire(arr: np.ndarray) -> memoryview:
     """A byte view of ``arr`` as contiguous ``<f4``; copies only to convert or compact."""
+    import numpy as np   # here, so that the control plane and the launcher load no numpy
     return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
 
 
 def wire_to_floats(payload: bytes | bytearray | memoryview) -> np.ndarray:
     if len(payload) % 4:
         raise WireProtocolError(f"float payload length {len(payload)} not a multiple of 4")
+    import numpy as np
     return np.frombuffer(payload, dtype="<f4").astype(np.float32, copy=False)

@@ -25,7 +25,8 @@ from collections import deque
 import numpy as np
 
 from ..errors import PeerDisconnected, RecvTimeout, TagMismatch
-from .net import NetProfile, sim_transfer_time
+from ..profiles import NetProfile
+from .net import sim_transfer_time
 
 # A rank's state in a run, besides "blocked on peer p" (p >= 0).
 _NEW, _DONE = -1, -2
@@ -190,8 +191,9 @@ MAX_PROBE_MESSAGES = 10_000_000
 def sim_probe_bandwidth(profile: NetProfile, duration_s: float) -> tuple[float, bool]:
     """Simulated point-to-point probe: stream 4 MiB messages for a virtual duration.
 
-    Returns (Mbps, aborted). With disconnect_prob == 1 the very first message
-    drops and the probe aborts with a partial-result flag.
+    Returns (Mbps, aborted). Each message drops with the profile's
+    ``disconnect_prob``; a dropped message ends the probe with ``aborted=True``,
+    and the rate covers the messages acknowledged before it.
     """
     rng = np.random.default_rng(profile.seed)
     elapsed = 0.0

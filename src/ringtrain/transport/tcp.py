@@ -18,13 +18,15 @@ import socket
 import threading
 import time
 from contextlib import ExitStack, suppress
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import (CommunicationError, PeerDisconnected, ProtocolError, RecvTimeout,
                       TagMismatch, WireProtocolError)
 from ..preset import json_fits
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TIMEOUT = 30.0
 # the longest wait a poll selector takes, 2**31 - 1 ms (about 24.8 days), in whole seconds

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import socket
 import struct
 import subprocess
@@ -106,11 +107,13 @@ def test_sim_manifest_records_every_config_file(tmp_path, capsys):
 
 
 class FakeWorker:
-    """Stands in for a worker process and starts none: rank 1 exits with code 2
-    at once, rank 0 runs until it is terminated."""
+    """Stands in for a worker process and starts none: rank 1 exits at once with
+    return code ``failure`` (2), rank 0 runs until it is terminated."""
+
+    failure = 2
 
     def __init__(self, cmd, env=None):
-        self.returncode = 2 if cmd[cmd.index("--rank") + 1] == "1" else None
+        self.returncode = self.failure if cmd[cmd.index("--rank") + 1] == "1" else None
         self.env = env
         self.stopped = threading.Event()
 
@@ -141,6 +144,27 @@ def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, cap
     assert time.perf_counter() - t0 < 1.5   # rank 0 alone would hold it 2 s, rendezvous 5 s
     assert code == 2
     assert "worker rank 1 exited with code 2" in capsys.readouterr().err
+
+
+# a real-time signal, past the last one that has a name, is named by its number
+@pytest.mark.parametrize("signum, name", [(signal.SIGKILL, "SIGKILL"),
+                                          (max(signal.Signals) + 1, None)],
+                         ids=["named", "unnamed"])
+def test_a_worker_ended_by_a_signal_exits_3_naming_the_rank_and_signal(signum, name, tmp_path,
+                                                                      monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+
+    class KilledWorker(FakeWorker):
+        failure = -signum   # how Popen reports a child ended by a signal
+
+    monkeypatch.setattr(subprocess, "Popen", KilledWorker)
+    code = run_cli("launch", "--workers", "2", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out"), "--timeout", "5")
+    assert code == EXIT_COMM
+    assert capsys.readouterr().err.splitlines() == [
+        f"worker rank 1 was killed by {name or f'signal {signum}'}"]
 
 
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "3e6"])
@@ -727,13 +751,13 @@ def test_terminating_launcher_terminates_workers(tmp_path):
 
 
 def test_embedded_assertion_failure_exits_4(tmp_path, monkeypatch, capsys):
-    import ringtrain.cli as cli
+    import ringtrain.harness as harness
     from ringtrain.errors import AssertionFailure
 
     def broken(*a, **kw):
         raise AssertionFailure("monotonicity violated")
 
-    monkeypatch.setattr(cli, "run_scaling_experiment", broken)
+    monkeypatch.setattr(harness, "run_scaling_experiment", broken)
     code = run_cli("sim", "scaling", "--out", str(tmp_path / "out"))
     assert code == EXIT_ASSERT
     assert "assertion failure" in capsys.readouterr().err
