@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AssertionFailure, CommunicationError
-from .preset import TrainingConfig, load_compute, load_net, load_thermal
+from .preset import TrainingConfig, json_fits, load_compute, load_net, load_thermal
 from .transport.tcp import (DEFAULT_TIMEOUT, MAX_TIMEOUT, Coordinator, listen, rendezvous,
                             serve_probe, tcp_probe_client)
 
@@ -331,6 +331,9 @@ def cmd_probe(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
+    if not (isinstance(manifest, dict) and json_fits(manifest.get("argv"), list[str])
+            and json_fits(manifest.get("resolved_seed"), int)):
+        raise ValueError(f"not a manifest (argv: list[str], resolved_seed: int): {args.manifest}")
     argv = list(manifest["argv"])
     if "--out" in argv:
         argv[argv.index("--out") + 1] = args.out

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LayoutError, ProtocolError
+from .preset import MAX_WORKERS
 
 # Each collective invocation claims a block of tags so that concurrent or
-# back-to-back calls can never match each other's messages.
-_TAG_BLOCK = 1 << 12
+# back-to-back calls can never match each other's messages: one tag per step
+# of a ring over the most ranks a config admits.
+_TAG_BLOCK = 2 * (MAX_WORKERS - 1)
 
 
 @dataclass
@@ -38,7 +40,7 @@ class CommGroup:
 
     def __post_init__(self):
         # a ring invocation uses 2(K-1) tags; more would spill into the next block
-        if 2 * (self.size - 1) > _TAG_BLOCK:
+        if self.size > MAX_WORKERS:
             raise ValueError(f"a ring over {self.size} ranks needs more than "
                              f"{_TAG_BLOCK} tags per invocation")
 

@@ -13,8 +13,6 @@ import numpy as np
 def make_blobs(n_samples: int, n_features: int = 2, n_classes: int = 2,
                seed: int = 0, spread: float = 0.6) -> tuple[np.ndarray, np.ndarray]:
     """Return (inputs float32 [n, d], labels int64 [n])."""
-    if n_samples < 1 or n_classes < 2 or n_features < 1:
-        raise ValueError("need n_samples >= 1, n_classes >= 2, n_features >= 1")
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, n_features))

@@ -21,7 +21,6 @@ from .errors import CommunicationError, RingtrainError
 from .model import RealModel
 from .preset import AGGREGATIONS, TrainingConfig, load_compute, load_net
 from .profiles import NetProfile
-from .transport.sim import SimCluster
 
 LR_REFERENCE_BATCH = 32
 
@@ -46,13 +45,7 @@ class IterationMetrics:
 
 def scale_lr(base_lr: float, batch: int, mode: str = "linear") -> float:
     """Linear large-batch scaling: lr * B / LR_REFERENCE_BATCH (or base_lr when mode is none)."""
-    if batch < 1:
-        raise ValueError("batch size must be >= 1")
-    if mode == "none":
-        return base_lr
-    if mode == "linear":
-        return base_lr * batch / LR_REFERENCE_BATCH
-    raise ValueError(f"unknown lr scaling mode {mode!r}")
+    return base_lr * batch / LR_REFERENCE_BATCH if mode == "linear" else base_lr
 
 
 def make_dataset(config: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +140,8 @@ def run_training_sim(config: TrainingConfig, profile: NetProfile | None = None
     The links (ethernet preset by default) are seeded with the config's seed.
     The ranks share one read-only copy of the dataset.
     """
+    from .transport.sim import SimCluster   # a real worker never loads the simulator
+
     profile = load_net("ethernet") if profile is None else profile
     cluster = SimCluster(config.workers, replace(profile, seed=config.seed))
     dataset = make_dataset(config)

@@ -109,8 +109,6 @@ def _meta(net: NetProfile | dict, compute: ComputeProfile | None, seed, **extra)
 def simulate_iteration(profile: ModelProfile, batch: int, compute: ComputeProfile,
                        k: int, net: NetProfile) -> tuple[float, float]:
     """One simulated iteration's (t_comp, t_comm): modeled compute + ring_packed."""
-    if batch < 1 or k < 1:
-        raise ValueError("batch and k must be >= 1")
     return (compute.compute_time(profile, batch),
             aggregation_comm_time(profile, k, net, compute, "ring_packed"))
 

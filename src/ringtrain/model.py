@@ -53,8 +53,6 @@ class RealModel:
     """
 
     def __init__(self, dims: list[int], seed: int, dtype=np.float32):
-        if len(dims) < 2:
-            raise ValueError("dims must name at least an input and an output size")
         self.dims = list(dims)
         self.seed = seed
         self.dtype = np.dtype(dtype)
@@ -85,8 +83,6 @@ class RealModel:
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ValueError(f"inputs shape {x.shape} does not match input dim {self.dims[0]}")
         batch = x.shape[0]
-        if batch < 1:
-            raise ValueError("batch must be non-empty")
         targets = _as_targets(labels, self.num_classes, self.dtype)
         if targets.shape[0] != batch:
             raise ValueError(f"batch mismatch: {batch} inputs vs {targets.shape[0]} labels")

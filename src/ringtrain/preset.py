@@ -27,6 +27,10 @@ AGGREGATIONS = {
 
 LR_SCALINGS = ("none", "linear")
 
+# Each collective invocation takes one block of 2(MAX_WORKERS - 1) = 4096 message
+# tags, one per ring step; a larger ring would spill into the next block's tags.
+MAX_WORKERS = 2049
+
 
 def preset_path(name_or_path: str | Path) -> Path:
     """The file ``name_or_path`` if it exists, else the bundled preset of that name."""
@@ -116,8 +120,8 @@ class TrainingConfig:
         self.validate()
 
     def validate(self) -> "TrainingConfig":
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be >= 1 and at most {MAX_WORKERS}, got {self.workers}")
         if self.global_batch != self.per_device_batch * self.workers:
             raise ValueError(
                 f"global_batch {self.global_batch} != per_device_batch "
@@ -136,6 +140,8 @@ class TrainingConfig:
             raise ValueError("model_dims needs an input and an output dim")
         if min(self.model_dims) < 1:
             raise ValueError("every model_dims entry must be >= 1")
+        if self.dataset_classes < 2:
+            raise ValueError("dataset_classes must be >= 2")
         if self.model_dims[-1] != self.dataset_classes:
             raise ValueError("model output dim must equal dataset class count")
         return self

@@ -20,7 +20,7 @@ stream, so simulated durations do not depend on the order ranks run in.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -108,8 +108,8 @@ class SimCluster:
         self.size = size
         self.profile = profile
         self.failed: tuple[int, BaseException] | None = None
-        self.queues: dict[tuple[int, int], deque] = {
-            (s, d): deque() for s in range(size) for d in range(size) if s != d}
+        # each directed link's queue and rng are made on first use
+        self.queues: dict[tuple[int, int], deque] = defaultdict(deque)
         self._rngs: dict[tuple[int, int], np.random.Generator] = {}
         self.endpoints = [SimEndpoint(self, r) for r in range(size)]
         # during run(): each rank's state, and one lock per rank that is held

@@ -80,6 +80,17 @@ def test_replay_reproduces_csv_byte_identically(tmp_path, experiment, stem, caps
     assert (first / f"{stem}.csv").read_bytes() == (second / f"{stem}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("manifest", [{"argv": 5, "resolved_seed": 1}, [1, 2],
+                                      {"argv": ["sim", 7], "resolved_seed": 1}],
+                         ids=["int-argv", "a-list", "int-in-argv"])
+def test_replay_of_a_file_that_is_not_a_manifest_exits_2(manifest, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("replay", str(path), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: not a manifest (argv: list[str], resolved_seed: int): {path}"]
+
+
 def test_seed_env_override_matches_flag(tmp_path, monkeypatch, capsys):
     out_flag = tmp_path / "flag"
     assert run_cli("sim", "collective", "--sizes", "65536", "--k", "2,4",
@@ -567,6 +578,8 @@ def test_config_file_with_wrong_values_exits_2(argv, config, tmp_path, capsys):
 
 LAUNCH2 = ["launch", "--workers", "2", "--config"]
 BASE = {"global_batch": 4, "per_device_batch": 2, "workers": 2}
+# one worker more than a collective's tag block admits
+WORKERS_2050 = {"global_batch": 4100, "per_device_batch": 2, "workers": 2050, "dataset_size": 4100}
 
 
 @pytest.mark.parametrize("argv,config,message", [
@@ -583,15 +596,43 @@ BASE = {"global_batch": 4, "per_device_batch": 2, "workers": 2}
      "tiers must be of type list[tuple[float, float]]"),
     (["sim", "thermal", "--thermal"], {**THERMAL, "heat_rate": "hot"},
      "heat_rate must be of type float, got \"hot\""),
+    (LAUNCH2, {**BASE, "model_dims": [2, 8, 1], "dataset_classes": 1},
+     "dataset_classes must be >= 2"),
+    (LAUNCH2, {**BASE, **WORKERS_2050}, "workers must be >= 1 and at most 2049, got 2050"),
+    (LAUNCH2, {**BASE, "global_batch": 0, "per_device_batch": 0}, "per_device_batch must be >= 1"),
+    (LAUNCH2, {**BASE, "lr_scaling": "sqrt"}, "lr_scaling must be one of ('none', 'linear')"),
+    (LAUNCH2, {**BASE, "dataset_size": 3}, "dataset must hold at least one global batch"),
+    (LAUNCH2, {**BASE, "model_dims": [2, 8, 3]}, "model output dim must equal dataset class count"),
 ], ids=["launch-string-lr", "launch-zero-width-layer", "launch-float-dim", "launch-bool-iterations",
         "launch-int-aggregation", "sim-float-seed", "sim-bool-work", "thermal-long-tier",
-        "thermal-string-heat-rate"])
+        "thermal-string-heat-rate", "launch-one-class", "launch-2050-workers",
+        "launch-empty-batch", "launch-unknown-lr-scaling", "launch-dataset-under-a-batch",
+        "launch-output-dim-not-class-count"])
 def test_config_values_are_checked_against_their_field_types(argv, config, message, tmp_path,
                                                              capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**BASE, "model_dims": [2, 8, 1], "dataset_classes": 1}, "dataset_classes must be >= 2"),
+    (WORKERS_2050, "workers must be >= 1 and at most 2049, got 2050"),
+], ids=["one-class", "2050-workers"])
+def test_a_config_no_worker_could_run_exits_2_before_any_socket_or_worker(config, message, tmp_path,
+                                                                         monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a socket was opened or a worker started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(socket, "socket", refuse)
+    assert run_cli("launch", "--workers", str(config["workers"]), "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
 
 def test_an_int_is_a_float(tmp_path):

@@ -82,14 +82,16 @@ host, port = coordinator.address
 code = main(["worker", "--rank", "0", "--size", "1", "--coordinator", f"{host}:{port}",
              "--config", sys.argv[1], "--out", sys.argv[2], "--timeout", "10"])
 coordinator.join()
-print(code, "ringtrain.engine" in sys.modules, "ringtrain.harness" in sys.modules)
+print(code, *(name in sys.modules for name in
+               ("ringtrain.engine", "ringtrain.harness", "ringtrain.transport.sim")))
 """
 
 
 def test_a_worker_never_imports_the_harness(tmp_path):
+    """Nor the simulated transport: only ``run_training_sim`` loads it."""
     config = tmp_path / "cfg.json"
     config.write_text('{"global_batch": 2, "per_device_batch": 2, "workers": 1, '
                       '"iterations": 2}')
     out = tmp_path / "out"
-    assert _run_fresh(WORKER_SCRIPT, str(config), str(out)) == "0 True False\n"
+    assert _run_fresh(WORKER_SCRIPT, str(config), str(out)) == "0 True False False\n"
     assert (out / "weights_rank0.npz").exists()

@@ -853,6 +853,17 @@ class TestSimCluster:
             cluster.endpoints[0].send(1, 0, np.ones(4, np.float32))
         assert err.value.rank == 1
 
+    def test_a_cluster_builds_no_link_before_it_is_used(self):
+        # the paper's 138 devices have 18,906 directed links, of which a ring uses 138
+        assert not SimCluster(138, ETH).queues
+
+    @pytest.mark.parametrize("collective,links", [(ring_allreduce, 8), (tree_allreduce, 14)],
+                             ids=["ring", "tree"])
+    def test_a_run_builds_only_the_links_its_collective_uses(self, collective, links):
+        cluster = SimCluster(8, ETH)   # a ring uses K directed links, a tree 2(K-1)
+        cluster.run(lambda ep: collective(np.ones(64, np.float32), CommGroup(ep)))
+        assert len(cluster.queues) == links
+
     def test_sim_recv_timeout_guards_deadlock(self):
         cluster = SimCluster(2, ETH)
         with pytest.raises(RecvTimeout):
