@@ -268,6 +268,10 @@ def cmd_sim(args, argv: list[str]) -> int:
         report = run_scaling_experiment(args.model or "GoogleNet", args.batch,
                                         args.k or [1, 2, 4, 8, 16, 32], net, compute)
     elif exp == "collective":
+        # Known defect: when --net and --net2 name one link (as --net wifi5 does
+        # with the default --net2), the dict keeps only net2, so the first link's
+        # rows vanish and the rest are priced with seed + 1. Mending it moves the
+        # pinned wifi5 collective digest, so it waits on a change of its own.
         net2 = replace(load_net(args.net2), seed=seed + 1)
         sizes = args.sizes or [int(37.5 * 2 ** 20)]
         report = run_collective_bench(sizes, args.k or [2, 4, 8, 16],

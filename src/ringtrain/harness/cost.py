@@ -12,7 +12,10 @@ independent of the participant count.
 
 Each call draws every message's jitter from one generator seeded from
 ``net.seed``, in message order. ``collective_time`` also takes the caller's
-generator instead, so a sweep can share one.
+generator instead, so a sweep can share one. A jitter-free link draws
+nothing, so a buffer's time depends on its size alone: there each distinct
+size is priced once, message by message, and its time is given to every
+buffer of that size, which is exactly what pricing each buffer would give.
 """
 
 from __future__ import annotations
@@ -85,6 +88,9 @@ def _comm_times(collective: str, k: int, net: NetProfile, segment_bytes: int | N
     cumulative sum, so the additions are those of a message-by-message walk.
     """
     rng = np.random.default_rng(net.seed) if rng is None else rng
+    inverse = None
+    if net.jitter_frac == 0:   # no draws: buffers of one size take one time
+        n_bytes, inverse = np.unique(n_bytes, return_inverse=True)
     count, sizes = _schedule(collective, k, segment_bytes, n_bytes)
     rows, width = max(1, BLOCK_MESSAGES // count), min(count, BLOCK_MESSAGES)
     times = np.empty(len(n_bytes))
@@ -94,7 +100,7 @@ def _comm_times(collective: str, k: int, net: NetProfile, segment_bytes: int | N
             t = sim_transfer_time(sizes(block, lo, min(lo + width, count)), k, net, rng)
             total = np.cumsum(np.hstack((total, t)) if lo else t, axis=1)[:, -1:]
         times[block] = total[:, 0]
-    return times
+    return times if inverse is None else times[inverse]
 
 
 def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,

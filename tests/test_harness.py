@@ -222,6 +222,8 @@ class TestArrayPricingMatchesScalarWalk:
     @example((138, [0] + [5_000_000] * RING_ROWS), NET_PRESETS[1])
     @example((138, list(range(0, 2 * 138 * RING_ROWS + 1, 138))), NET_PRESETS[1])
     @example((138, [1000] * (2 * RING_ROWS + 1)), NET_PRESETS[0])
+    # repeated sizes, empty chunks and chunks of fewer elements than K
+    @example((138, [1000, 0, 5, 1000, 137, 0, 5, 10 ** 6] * RING_ROWS), NET_PRESETS[0])
     def test_ring_chunkwise(self, k_chunks, net):
         k, chunks = k_chunks
         profile = ModelProfile("chunks", sum(chunks) * FLOAT_BYTES / MB, 1, tuple(chunks))
@@ -250,6 +252,21 @@ class TestArrayPricingMatchesScalarWalk:
         assert (collective_time(n_bytes, k, net, BARE, "tree", rng)
                 == _tree_walk(n_bytes, k, net, SEGMENT, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_jitter_free_link_prices_each_chunk_size_once(monkeypatch):
+    """ResNet-152's chunks come in two sizes: one array call prices them all."""
+    import ringtrain.harness.cost as cost
+    calls = []
+    monkeypatch.setattr(cost, "sim_transfer_time",
+                        lambda *args: calls.append(args) or sim_transfer_time(*args))
+    profile = build_profile("ResNet-152")
+    priced = aggregation_comm_time(profile, 138, ETH, COMPUTE, "ring_chunkwise")
+    assert len(calls) == 1
+    walked = 0.0
+    for n in profile.chunk_elems:
+        walked += COMPUTE.invocation_overhead + _ring_walk(n, 138, ETH, None)
+    assert priced == walked
 
 
 @pytest.fixture(scope="module")
