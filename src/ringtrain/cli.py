@@ -268,14 +268,11 @@ def cmd_sim(args, argv: list[str]) -> int:
         report = run_scaling_experiment(args.model or "GoogleNet", args.batch,
                                         args.k or [1, 2, 4, 8, 16, 32], net, compute)
     elif exp == "collective":
-        # Known defect: when --net and --net2 name one link (as --net wifi5 does
-        # with the default --net2), the dict keeps only net2, so the first link's
-        # rows vanish and the rest are priced with seed + 1. Mending it moves the
-        # pinned wifi5 collective digest, so it waits on a change of its own.
-        net2 = replace(load_net(args.net2), seed=seed + 1)
+        nets = {args.net: net}   # a link named twice is priced once, with the run's seed
+        if args.net2 != args.net:
+            nets[args.net2] = replace(load_net(args.net2), seed=seed + 1)
         sizes = args.sizes or [int(37.5 * 2 ** 20)]
-        report = run_collective_bench(sizes, args.k or [2, 4, 8, 16],
-                                      {args.net: net, args.net2: net2}, compute)
+        report = run_collective_bench(sizes, args.k or [2, 4, 8, 16], nets, compute)
     elif exp == "aggregation":
         models = [args.model] if args.model else None
         report = run_aggregation_comparison(models, min(args.k or [138]), net, compute)

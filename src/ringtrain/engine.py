@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .collectives import CommGroup, ring_allreduce, tree_allreduce
-from .data import make_blobs
 from .errors import CommunicationError, RingtrainError
 from .model import RealModel
 from .preset import AGGREGATIONS, TrainingConfig, load_compute, load_net
@@ -43,15 +42,24 @@ class IterationMetrics:
         return f"{self.iteration},{self.rank},{self.t_comp!r},{self.t_comm!r},{self.loss!r}"
 
 
-def scale_lr(base_lr: float, batch: int, mode: str = "linear") -> float:
+def scale_lr(base_lr: float, batch: int, mode: str) -> float:
     """Linear large-batch scaling: lr * B / LR_REFERENCE_BATCH (or base_lr when mode is none)."""
     return base_lr * batch / LR_REFERENCE_BATCH if mode == "linear" else base_lr
 
 
 def make_dataset(config: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The config's blob dataset, read-only so that ranks can share one copy."""
-    dataset = make_blobs(config.dataset_size, config.model_dims[0], config.dataset_classes,
-                         seed=config.seed + 1, spread=config.dataset_spread)
+    """Seeded Gaussian blobs, class means on a circle of radius 2: float32 inputs [n, d]
+    and int64 labels [n]. Every worker builds the same arrays from the config, with no
+    data distribution step; they are read-only so that ranks can share one copy."""
+    rng = np.random.default_rng(config.seed + 1)
+    classes, features, size = config.dataset_classes, config.model_dims[0], config.dataset_size
+    angles = 2.0 * np.pi * np.arange(classes) / classes
+    means = np.zeros((classes, features))
+    means[:, 0] = 2.0 * np.cos(angles)
+    means[:, min(1, features - 1)] += 2.0 * np.sin(angles)
+    labels = rng.integers(0, classes, size=size)
+    inputs = means[labels] + rng.normal(0.0, config.dataset_spread, size=(size, features))
+    dataset = inputs.astype(np.float32), labels.astype(np.int64)
     for array in dataset:
         array.flags.writeable = False
     return dataset
@@ -96,7 +104,8 @@ class Worker:
         invocation if the strategy packs, else one invocation per layer."""
         collective, packed = AGGREGATIONS[self.config.aggregation]
         flat = self.model.flat_grads
-        copy_time = flat.nbytes / self.compute.pack_bandwidth if packed else 0.0
+        copies = packed and self.group.size > 1   # as priced: one rank sends nothing
+        copy_time = flat.nbytes / self.compute.pack_bandwidth if copies else 0.0
         self.endpoint.advance(copy_time)   # the modeled pack, then unpack
         for chunk in [flat] if packed else self.model.grads:
             (ring_allreduce if collective == "ring" else tree_allreduce)(chunk, self.group)

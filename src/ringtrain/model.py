@@ -26,22 +26,19 @@ class ForwardCache:
     inputs: list[np.ndarray]   # input to each dense layer
     masks: list[np.ndarray]    # ReLU masks for hidden layers
     probs: np.ndarray          # softmax outputs
-    targets: np.ndarray        # one-hot / soft target distribution
+    targets: np.ndarray        # one-hot labels
     batch: int
 
 
 def _as_targets(labels: np.ndarray, classes: int, dtype) -> np.ndarray:
-    """Accept integer class indices or an explicit (soft) target matrix."""
+    """One-hot targets for a 1-D array of integer class indices."""
     labels = np.asarray(labels)
-    if labels.ndim == 1:
-        if np.issubdtype(labels.dtype, np.floating):
-            raise ValueError("1-D labels must be integer class indices")
-        onehot = np.zeros((labels.shape[0], classes), dtype=dtype)
-        onehot[np.arange(labels.shape[0]), labels] = 1.0
-        return onehot
-    if labels.ndim == 2 and labels.shape[1] == classes:
-        return labels.astype(dtype, copy=False)
-    raise ValueError(f"labels shape {labels.shape} incompatible with {classes} classes")
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be a 1-D array of integer class indices, "
+                         f"got {labels.dtype} with shape {labels.shape}")
+    onehot = np.zeros((labels.shape[0], classes), dtype=dtype)
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    return onehot
 
 
 class RealModel:
@@ -78,7 +75,7 @@ class RealModel:
         return self.flat_weights.size
 
     def forward(self, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, ForwardCache]:
-        """Run the network and return (mean cross-entropy loss, cache)."""
+        """Run the network on 1-D integer class labels; return (mean cross-entropy loss, cache)."""
         x = np.asarray(inputs, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ValueError(f"inputs shape {x.shape} does not match input dim {self.dims[0]}")

@@ -16,7 +16,8 @@ import pytest
 from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VARS, main
 from ringtrain.engine import TrainingConfig
 from ringtrain.errors import CommunicationError, ProtocolError, TagMismatch
-from ringtrain.preset import load_net, load_thermal, preset_path
+from ringtrain.harness import run_collective_bench
+from ringtrain.preset import load_compute, load_net, load_thermal, preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
 from ringtrain.transport.net import sim_transfer_time
 from ringtrain.transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES
@@ -115,6 +116,22 @@ def test_sim_manifest_records_every_config_file(tmp_path, capsys):
     # preset names are not files, so only the --net2 file is recorded
     assert configs == {"net2": {"path": str(net2),
                                 "sha256": hashlib.sha256(net2.read_bytes()).hexdigest()}}
+
+
+def test_sim_collective_prices_a_link_named_twice_once_with_the_run_seed(tmp_path, monkeypatch,
+                                                                         capsys):
+    monkeypatch.delenv("RINGTRAIN_SEED", raising=False)
+    out = tmp_path / "out"
+    # --net2 defaults to wifi5, so the run names one link twice
+    assert run_cli("sim", "collective", "--net", "wifi5", "--k", "2", "--sizes", "8",
+                   "--out", str(out)) == EXIT_OK
+    seed = json.loads((out / "manifest.json").read_text())["resolved_seed"]
+    assert json.loads((out / "collective.meta.json").read_text())["seed"] == seed
+    expected = run_collective_bench([8], [2], {"wifi5": replace(load_net("wifi5"), seed=seed)},
+                                    load_compute())
+    expected.write(tmp_path / "expected")
+    assert ((out / "collective.csv").read_bytes()
+            == (tmp_path / "expected" / "collective.csv").read_bytes())
 
 
 class FakeWorker:
@@ -339,9 +356,11 @@ def test_default_sim_csv_is_unchanged(experiment, tmp_path, monkeypatch, capsys)
 # sha256 of each default `ringtrain sim --net wifi5` CSV, recorded before the
 # cost model priced each schedule with one array call. wifi5 jitters every
 # non-empty message, so these digests pin the number and order of the draws.
+# The collective digest was recorded again when a link named by both --net and
+# --net2 came to be priced once, with the run's seed.
 WIFI5_SIM_DIGESTS = {
     "scaling": "9cd9fafe9842791a64e8b749c9ca81261b9e0158c52aeadf2ce3d9c5bdc911ff",
-    "collective": "f014dc8e2fbd2f31492df738bcd853d47bfba6fe6cc4377e7b01b0b730fc9465",
+    "collective": "9e1bfbdc202dc2e77de4d2718f7142f6d4ea1d14d0e6d01fc2f54c7015e20a81",
     "aggregation": "d29751ffccb85f8b2e7e76b930ab7ac1f119616344e666c30afc3e3ab42096f0",
     "efficiency": "4f7d519762ab7b623d73847b7ee51f50dce11d4ab0996a431504a78aea785a4e",
     "rar-vs-tree": "b06abcc201c3be29b6caaef9c8feafb62fe425d0aefa4464e5bd8e395850e802",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ringtrain import engine
-from ringtrain.data import make_blobs
 from ringtrain.engine import (IterationMetrics, METRICS_HEADER,
                               TrainingConfig, Worker, run_training_sim, scale_lr,
                               shard_batch, shard_indices, write_metrics_csv)
@@ -49,7 +48,7 @@ class TestConfig:
 
 class TestShard:
     def test_k1_is_full_global_batch(self):
-        ds = make_blobs(100, seed=0)
+        ds = engine.make_dataset(config(1, 8, dataset_size=100))
         x, y = shard_batch(ds, iteration=2, rank=0, workers=1, per_device=8)
         idx = shard_indices(2, 0, 1, 8, 100)
         assert (idx == np.arange(16, 24)).all()
@@ -70,10 +69,10 @@ class TestShard:
 
 class TestScaleLr:
     def test_reference_batch_identity(self):
-        assert scale_lr(0.01, 32) == 0.01
+        assert scale_lr(0.01, 32, "linear") == 0.01
 
     def test_linear_example(self):
-        assert scale_lr(0.01, 736) == pytest.approx(0.23)
+        assert scale_lr(0.01, 736, "linear") == pytest.approx(0.23)
 
     def test_none_mode_ignores_batch(self):
         assert scale_lr(0.01, 4096, mode="none") == 0.01
@@ -85,8 +84,7 @@ def test_k1_matches_manual_single_process_sgd_bitwise():
     metrics = worker.run()
 
     model = RealModel(cfg.model_dims, seed=cfg.seed)
-    dataset = make_blobs(cfg.dataset_size, cfg.model_dims[0], cfg.dataset_classes,
-                         seed=cfg.seed + 1, spread=cfg.dataset_spread)
+    dataset = engine.make_dataset(cfg)
     for it in range(cfg.iterations):
         x, y = shard_batch(dataset, it, 0, 1, 8)
         _, cache = model.forward(x, y)
@@ -252,11 +250,13 @@ def test_the_first_simulated_failure_is_the_same_on_every_run():
 def test_simulated_ranks_share_one_read_only_dataset(monkeypatch):
     built = []
 
-    def counted_make_blobs(*args, **kwargs):
-        built.append(make_blobs(*args, **kwargs))
+    make_dataset = engine.make_dataset
+
+    def counted_make_dataset(cfg):
+        built.append(make_dataset(cfg))
         return built[-1]
 
-    monkeypatch.setattr(engine, "make_blobs", counted_make_blobs)
+    monkeypatch.setattr(engine, "make_dataset", counted_make_dataset)
     run_training_sim(config(4, 4, iterations=2), ETH)
     assert len(built) == 1
     inputs, labels = built[0]

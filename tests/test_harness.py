@@ -321,12 +321,25 @@ class TestSimMatchesCostModel:
                 # uneven segments: rank 0's receives are not every rank's path
                 assert max(abs(c - modeled) for c in clocks) <= 0.01 * modeled, f"n={n}"
 
+    @pytest.mark.parametrize("contention", [0.0, 0.5])
+    @pytest.mark.parametrize("k", [46, 138])
+    def test_virtual_clock_equals_ring_comm_time_at_the_papers_k(self, k, contention):
+        net = dataclasses.replace(ETH, contention_coeff=contention)
+        n = 1000 * k
+
+        def task(ep):
+            ring_allreduce(np.ones(n, np.float32), CommGroup(ep))
+            return ep.clock
+
+        clocks = SimCluster(k, net).run(task)
+        assert clocks == [collective_time(n * FLOAT_BYTES, k, net, BARE, "ring")] * k
+
 
 class TestSimTrainingMatchesCostModel:
     """run_training_sim charges the compute preset that the harness prices with."""
 
     @pytest.mark.parametrize("alg", ["ring_packed", "ring_chunkwise"])
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_one_step_matches_the_analytic_iteration(self, k, alg):
         cfg = TrainingConfig(global_batch=8 * k, per_device_batch=8, workers=k,
                              iterations=1, aggregation=alg, model_dims=[64, 256, 256, 10],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,16 +46,6 @@ def test_forward_matches_straightline_recomputation():
     assert loss == pytest.approx(expected, rel=1e-5)
 
 
-def test_backward_zero_gradient_when_targets_equal_predictions():
-    model = RealModel([3, 4], seed=2)
-    model.weights[0][:] = 0.0  # uniform softmax output
-    x = np.random.default_rng(2).normal(size=(5, 3)).astype(np.float32)
-    targets = np.full((5, 4), 0.25, dtype=np.float32)
-    _, cache = model.forward(x, targets)
-    grads = model.backward(cache)
-    assert np.abs(grads[0]).max() == 0.0
-
-
 def test_backward_matches_finite_differences():
     model = RealModel([6, 10, 4], seed=3)
     rng = np.random.default_rng(3)
@@ -93,6 +84,16 @@ def test_shape_errors():
         model.forward(np.zeros((2, 4), np.float32), np.array([0, 1]))
     with pytest.raises(ValueError):
         model.forward(np.zeros((2, 3), np.float32), np.array([0]))
+
+
+@pytest.mark.parametrize("labels", [np.full((2, 2), 0.5, np.float32), np.array([0.0, 1.0]),
+                                    np.array([False, True]), np.zeros((2, 1), np.int64)],
+                         ids=["soft-targets", "float", "bool", "column"])
+def test_labels_must_be_a_1d_integer_array(labels):
+    model = RealModel([3, 2], seed=0)
+    message = re.escape(f"got {labels.dtype} with shape {labels.shape}")
+    with pytest.raises(ValueError, match=message):
+        model.forward(np.zeros((2, 3), np.float32), labels)
 
 
 class TestSgdUpdate:

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringtrain.collectives import CommGroup, ring_allreduce, tree_allreduce
 from ringtrain.errors import (CommunicationError, PeerDisconnected, ProtocolError,
@@ -63,6 +64,30 @@ class TestFrame:
         tag, payload = b.recv_frame()
         assert (tag, payload) == (3, b"")
         a.close(), b.close()
+
+    # random bytes almost never start with the magic, so half the cases carry it
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(min_size=12, max_size=12),
+                     st.binary(min_size=8, max_size=8).map(FRAME_MAGIC.__add__)))
+    def test_any_header_is_rejected_or_has_a_bounded_length(self, header):
+        try:
+            _, length = decode_header(header)
+        except WireProtocolError:
+            return
+        assert length <= MAX_PAYLOAD_BYTES
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, MAX_PAYLOAD_BYTES),
+           st.integers(0, 11), st.integers(0, 255))
+    def test_a_header_with_one_byte_replaced_is_rejected_or_bounded(self, tag, length,
+                                                                     index, byte):
+        header = bytearray(struct.pack(">4sII", FRAME_MAGIC, tag, length))
+        header[index] = byte
+        try:
+            tag, length = decode_header(bytes(header))
+        except WireProtocolError:
+            return
+        assert 0 <= tag < 2 ** 32 and 0 <= length <= MAX_PAYLOAD_BYTES
 
 
 class TestFramedTcp:
