@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AssertionFailure, CommunicationError
-from .preset import TrainingConfig, json_fits, load_compute, load_net, load_thermal
+from .preset import TrainingConfig, json_fits, load_compute, load_net, load_thermal, read_json
 from .transport.tcp import (DEFAULT_TIMEOUT, MAX_TIMEOUT, Coordinator, listen, rendezvous,
                             serve_probe, tcp_probe_client)
 
@@ -42,9 +42,12 @@ def _resolved_seed(flag_seed: int | None, fallback: int) -> int:
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get("RINGTRAIN_SEED")
-    if env is not None:
+    if env is None:
+        return fallback
+    try:
         return int(env)
-    return fallback
+    except ValueError:
+        raise ValueError(f"RINGTRAIN_SEED must be an integer, got {env!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -331,12 +334,13 @@ def cmd_probe(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    manifest = read_json(args.manifest)
     if not (isinstance(manifest, dict) and json_fits(manifest.get("argv"), list[str])
             and json_fits(manifest.get("resolved_seed"), int)):
         raise ValueError(f"not a manifest (argv: list[str], resolved_seed: int): {args.manifest}")
     argv = list(manifest["argv"])
-    if "--out" in argv:
+    # a trailing --out has no value; appending another makes argparse refuse the argv
+    if "--out" in argv[:-1]:
         argv[argv.index("--out") + 1] = args.out
     else:
         argv += ["--out", args.out]
@@ -371,8 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except CommunicationError as exc:
         print(f"communication failure: {exc}", file=sys.stderr)
         return EXIT_COMM
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message
+    except (ValueError, KeyError) as exc:
+        # an unreadable file is preset.read_json's ValueError; str() of a KeyError
+        # is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_USAGE

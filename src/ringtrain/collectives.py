@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LayoutError, ProtocolError
-from .preset import MAX_WORKERS
+from .preset import MAX_WORKERS, check_workers
 
 # Each collective invocation claims a block of tags so that concurrent or
 # back-to-back calls can never match each other's messages: one tag per step
@@ -39,10 +39,7 @@ class CommGroup:
     invocations: int = field(default=0, init=False)   # collective calls issued so far
 
     def __post_init__(self):
-        # a ring invocation uses 2(K-1) tags; more would spill into the next block
-        if self.size > MAX_WORKERS:
-            raise ValueError(f"a ring over {self.size} ranks needs more than "
-                             f"{_TAG_BLOCK} tags per invocation")
+        check_workers(self.size, "ranks")   # a ring over more would spill into the next tag block
 
     @property
     def rank(self) -> int:
@@ -143,8 +140,6 @@ def _allreduce(data: np.ndarray, group: CommGroup, steps, n_segments: int) -> np
     returns ``data``."""
     if data.dtype != np.float32 or not data.flags.c_contiguous:
         raise ValueError("a collective sums a C-contiguous float32 array in place")
-    if group.size == 1:
-        return data
     flat = data.reshape(-1)   # a view: data is contiguous
     ep = group.endpoint
     tag0 = group.next_tag_block()

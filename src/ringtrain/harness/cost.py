@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..collectives import ring_steps, segment_size
-from ..preset import AGGREGATIONS
+from ..preset import AGGREGATIONS, check_workers
 from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile, NetProfile
 from ..transport.net import sim_transfer_time
 
@@ -51,8 +51,7 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
     slots per direction, and both directions are charged; as its count
     depends on the size, it takes one buffer.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_workers(k, "k")
     if collective == "ring":
         order = _ring_order(k)
         elems = n_bytes[:, None] // FLOAT_BYTES

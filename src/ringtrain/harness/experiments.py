@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import __version__
 from ..errors import AssertionFailure
-from ..preset import AGGREGATIONS
+from ..preset import AGGREGATIONS, check_workers
 from ..profiles import (ComputeProfile, ModelProfile, NetProfile, ThermalPreset, all_profiles,
                         build_profile)
 from .cost import aggregation_comm_time, collective_time
@@ -118,8 +118,7 @@ def run_scaling_experiment(model: str, batch: int, k_list: list[int],
     """Fixed global batch, growing worker count: compute shrinks, comm does not."""
     profile = build_profile(model)
     for k in k_list:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_workers(k, "k")
         if batch % k:
             raise ValueError(f"global batch {batch} not divisible by K={k}")
     rows = []

@@ -31,11 +31,14 @@ class ForwardCache:
 
 
 def _as_targets(labels: np.ndarray, classes: int, dtype) -> np.ndarray:
-    """One-hot targets for a 1-D array of integer class indices."""
+    """One-hot targets for a 1-D array of integer class indices in ``[0, classes)``."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be a 1-D array of integer class indices, "
                          f"got {labels.dtype} with shape {labels.shape}")
+    outside = labels[(labels < 0) | (labels >= classes)]
+    if outside.size:   # a negative index would pick a class from the end
+        raise ValueError(f"labels must lie in [0, {classes}), got {outside[0]}")
     onehot = np.zeros((labels.shape[0], classes), dtype=dtype)
     onehot[np.arange(labels.shape[0]), labels] = 1.0
     return onehot

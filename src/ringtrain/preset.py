@@ -32,6 +32,12 @@ LR_SCALINGS = ("none", "linear")
 MAX_WORKERS = 2049
 
 
+def check_workers(k: int, name: str = "workers") -> None:
+    """The one cluster-size rule, for a config, a simulated cluster and every priced K."""
+    if not 1 <= k <= MAX_WORKERS:
+        raise ValueError(f"{name} must be >= 1 and at most {MAX_WORKERS}, got {k}")
+
+
 def preset_path(name_or_path: str | Path) -> Path:
     """The file ``name_or_path`` if it exists, else the bundled preset of that name."""
     name = str(name_or_path)
@@ -43,6 +49,15 @@ def preset_path(name_or_path: str | Path) -> Path:
 
 # the annotations are strings (postponed evaluation); each class's are resolved once
 _field_types = functools.cache(get_type_hints)
+
+
+def read_json(path: str | Path):
+    """The parsed JSON file at ``path``; an unreadable path is a ValueError naming it."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    return json.loads(text)
 
 
 def json_fits(value, hint) -> bool:
@@ -89,15 +104,15 @@ def from_json_object(cls, data):
 
 
 def load_net(name_or_path: str | Path) -> NetProfile:
-    return from_json_object(NetProfile, json.loads(preset_path(name_or_path).read_text()))
+    return from_json_object(NetProfile, read_json(preset_path(name_or_path)))
 
 
 def load_compute(name_or_path: str | Path = "compute_s10") -> ComputeProfile:
-    return from_json_object(ComputeProfile, json.loads(preset_path(name_or_path).read_text()))
+    return from_json_object(ComputeProfile, read_json(preset_path(name_or_path)))
 
 
 def load_thermal(name_or_path: str | Path = "thermal_s10") -> ThermalPreset:
-    return from_json_object(ThermalPreset, json.loads(preset_path(name_or_path).read_text()))
+    return from_json_object(ThermalPreset, read_json(preset_path(name_or_path)))
 
 
 @dataclass
@@ -120,8 +135,7 @@ class TrainingConfig:
         self.validate()
 
     def validate(self) -> "TrainingConfig":
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(f"workers must be >= 1 and at most {MAX_WORKERS}, got {self.workers}")
+        check_workers(self.workers)
         if self.global_batch != self.per_device_batch * self.workers:
             raise ValueError(
                 f"global_batch {self.global_batch} != per_device_batch "
@@ -148,7 +162,7 @@ class TrainingConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TrainingConfig":
-        return from_json_object(cls, json.loads(Path(path).read_text()))
+        return from_json_object(cls, read_json(path))
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")

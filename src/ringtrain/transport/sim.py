@@ -25,6 +25,7 @@ from collections import defaultdict, deque
 import numpy as np
 
 from ..errors import PeerDisconnected, RecvTimeout, TagMismatch
+from ..preset import check_workers
 from ..profiles import NetProfile
 from .net import sim_transfer_time
 
@@ -103,8 +104,7 @@ class SimCluster:
     """Factory for a group of simulated endpoints sharing one medium."""
 
     def __init__(self, size: int, profile: NetProfile):
-        if size < 1:
-            raise ValueError("cluster size must be >= 1")
+        check_workers(size, "cluster size")   # run() starts one thread per rank
         self.size = size
         self.profile = profile
         self.failed: tuple[int, BaseException] | None = None

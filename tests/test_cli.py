@@ -92,6 +92,28 @@ def test_replay_of_a_file_that_is_not_a_manifest_exits_2(manifest, tmp_path, cap
         f"config error: not a manifest (argv: list[str], resolved_seed: int): {path}"]
 
 
+def test_replay_of_a_manifest_whose_argv_ends_in_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"argv": ["sim", "thermal", "--out"], "resolved_seed": 1}))
+    assert run_cli("replay", str(path), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "thermal", "--out", "OUT", "--thermal"],
+    ["replay", "--out", "OUT"],
+    ["launch", "--workers", "2", "--out", "OUT", "--config"],
+    ["worker", "--rank", "0", "--size", "2", "--coordinator", "127.0.0.1:1", "--config"],
+], ids=["sim-thermal-preset", "replay-manifest", "launch-config", "worker-config"])
+def test_a_json_path_that_cannot_be_read_exits_2_naming_it(argv, tmp_path, capsys):
+    # a directory: it exists, but no file can be read from it
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+    assert run_cli(*argv, str(tmp_path)) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and f"'{tmp_path}'" in line
+
+
 def test_seed_env_override_matches_flag(tmp_path, monkeypatch, capsys):
     out_flag = tmp_path / "flag"
     assert run_cli("sim", "collective", "--sizes", "65536", "--k", "2,4",
@@ -384,12 +406,34 @@ def test_sim_with_fewer_than_one_worker_exits_2(experiment, k, tmp_path, capsys)
     assert "k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,k", [
+    *[(exp, "2050") for exp in ("scaling", "collective", "aggregation", "efficiency",
+                                "rar-vs-tree")],
+    *[(exp, "2,2050") for exp in ("scaling", "collective", "rar-vs-tree")]])
+def test_sim_with_more_workers_than_a_tag_block_admits_exits_2(experiment, k, tmp_path, capsys):
+    assert run_cli("sim", experiment, f"--k={k}", "--out", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: k must be >= 1 and at most 2049, got 2050"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["scaling", "collective", "aggregation", "efficiency",
+                                        "rar-vs-tree"])
+def test_sim_at_the_largest_admitted_k_writes_its_csv(experiment, tmp_path, capsys):
+    assert run_cli("sim", experiment, "--k=2049", "--batch=2049", "--sizes=65536",
+                   "--out", str(tmp_path)) == EXIT_OK
+    rows = (tmp_path / f"{experiment.replace('-', '_')}.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[3] == "2049" for row in rows)
+
+
 @pytest.mark.parametrize("argv,workers,message", [
     (["launch", "--workers", "0"], 0, "config error: workers must be >= 1"),
     (["launch", "--workers", "-1"], -1, "config error: workers must be >= 1"),
     (["worker", "--rank", "-1", "--size", "2", "--coordinator", "127.0.0.1:1"], 2,
      "rank/size -1/2 inconsistent"),
-], ids=["launch-zero-workers", "launch-negative-workers", "worker-negative-rank"])
+    (["launch", "--workers", "3"], 2, "config error: --workers 3 does not match config workers=2"),
+], ids=["launch-zero-workers", "launch-negative-workers", "worker-negative-rank",
+        "launch-workers-not-the-config"])
 def test_no_workers_or_a_negative_rank_exits_2(argv, workers, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"global_batch": 4 * workers, "per_device_batch": 4,
@@ -622,11 +666,25 @@ WORKERS_2050 = {"global_batch": 4100, "per_device_batch": 2, "workers": 2050, "d
     (LAUNCH2, {**BASE, "lr_scaling": "sqrt"}, "lr_scaling must be one of ('none', 'linear')"),
     (LAUNCH2, {**BASE, "dataset_size": 3}, "dataset must hold at least one global batch"),
     (LAUNCH2, {**BASE, "model_dims": [2, 8, 3]}, "model output dim must equal dataset class count"),
+    (["sim", "scaling", "--net"], {"base_bandwidth": 0, "latency": 1e-4},
+     "base_bandwidth must be positive"),
+    (["sim", "scaling", "--net"], {"base_bandwidth": 940, "latency": 1e-4, "disconnect_prob": 1},
+     "disconnect_prob must be in [0, 1)"),
+    (["sim", "scaling", "--net"], {"base_bandwidth": 940, "latency": -1e-4},
+     "latency, jitter_frac and contention_coeff must be >= 0"),
+    (["sim", "scaling", "--compute"], {"throughput": 0},
+     "throughput and pack_bandwidth must be positive"),
+    (["sim", "scaling", "--compute"], {"throughput": 1e8, "tree_segment_bytes": 0},
+     "invocation_overhead >= 0 and tree_segment_bytes >= 1"),
+    (["sim", "thermal", "--thermal"], {**THERMAL, "cool_rate": -0.1},
+     "heat_rate and cool_rate must be >= 0"),
 ], ids=["launch-string-lr", "launch-zero-width-layer", "launch-float-dim", "launch-bool-iterations",
         "launch-int-aggregation", "sim-float-seed", "sim-bool-work", "thermal-long-tier",
         "thermal-string-heat-rate", "launch-one-class", "launch-2050-workers",
         "launch-empty-batch", "launch-unknown-lr-scaling", "launch-dataset-under-a-batch",
-        "launch-output-dim-not-class-count"])
+        "launch-output-dim-not-class-count", "sim-no-bandwidth", "sim-every-message-dropped",
+        "sim-negative-latency", "sim-no-throughput", "sim-empty-tree-segment",
+        "thermal-negative-cool-rate"])
 def test_config_values_are_checked_against_their_field_types(argv, config, message, tmp_path,
                                                              capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -709,6 +767,13 @@ def test_probe_sim_seed_env_matches_flag(monkeypatch, capsys):
     monkeypatch.setenv("RINGTRAIN_SEED", "5")
     assert run_cli(*argv) == EXIT_OK
     assert capsys.readouterr().out == by_flag
+
+
+def test_a_seed_env_that_is_not_an_integer_exits_2_naming_it(monkeypatch, capsys):
+    monkeypatch.setenv("RINGTRAIN_SEED", "abc")
+    assert run_cli("probe", "--sim", "wifi5", "--seconds", "0.2", "--repeat", "1") == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: RINGTRAIN_SEED must be an integer, got 'abc'"]
 
 
 def test_worker_rendezvous_timeout_exits_3(tmp_path):

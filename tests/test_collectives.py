@@ -221,9 +221,20 @@ def test_k1_identity_and_no_messages():
 
 def test_comm_group_rejects_rings_whose_tags_overflow_a_block():
     # stub endpoints: a real 2050-rank cluster would start 2050 threads
-    with pytest.raises(ValueError, match="2050 ranks"):
+    with pytest.raises(ValueError, match="at most 2049, got 2050"):
         CommGroup(types.SimpleNamespace(rank=0, size=2050))
     assert CommGroup(types.SimpleNamespace(rank=0, size=2049)).size == 2049
+
+
+@pytest.mark.parametrize("data", [np.ones(4, np.float64), np.ones((4, 2), np.float32)[:, 0]],
+                         ids=["float64", "strided"])
+@pytest.mark.parametrize("collective", [ring_allreduce, tree_allreduce], ids=["ring", "tree"])
+def test_a_collective_sums_only_a_contiguous_float32_array(collective, data):
+    # the stub endpoint cannot send: the array is refused before any message
+    group = CommGroup(types.SimpleNamespace(rank=0, size=2))
+    with pytest.raises(ValueError, match="C-contiguous float32 array"):
+        collective(data, group)
+    assert group.invocations == 0
 
 
 @pytest.mark.parametrize("k,n", [(2, 10), (4, 8), (5, 13), (8, 1000)])

@@ -19,6 +19,7 @@ from ringtrain.harness import (aggregation_comm_time, collective_time,
                                run_scaling_experiment, run_thermal_scenario,
                                simulate_iteration)
 from ringtrain.harness.cost import BLOCK_MESSAGES
+from ringtrain.harness.experiments import MAX_THERMAL_ROWS
 from ringtrain.preset import load_compute, load_net, load_thermal
 from ringtrain.profiles import (FLOAT_BYTES, MB, ComputeProfile, ModelProfile, ThermalPreset,
                                 build_profile)
@@ -235,8 +236,11 @@ class TestArrayPricingMatchesScalarWalk:
 
     @pytest.mark.parametrize("net", NET_PRESETS, ids=["ethernet", "wifi5"])
     @pytest.mark.parametrize("n", [0, 3, 10 ** 6 + 1])
-    def test_ring_longer_than_a_block(self, n, net):
-        k = BLOCK_MESSAGES // 2 + 2   # 2(K-1) messages: one more than a block
+    def test_ring_longer_than_a_block(self, n, net, monkeypatch):
+        import ringtrain.harness.cost as cost
+        # no admitted ring outgrows a full block, so shrink the block: 18 messages in two
+        monkeypatch.setattr(cost, "BLOCK_MESSAGES", 16)
+        k = 10
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         assert (collective_time(n * FLOAT_BYTES, k, net, BARE, "ring", rng)
                 == _ring_walk(n, k, net, ref_rng))
@@ -518,6 +522,13 @@ class TestThermalScenario:
         report = run_thermal_scenario(frozen, 300.0, fan_on=False)
         assert set(report.metadata["temps_c"]) == {thermal.ambient}
         assert count_upward_steps([r.t_comp for r in report.rows]) == 0
+
+    def test_a_duration_one_cycle_past_the_row_cap_is_refused(self):
+        thermal = load_thermal()
+        cycle = thermal.baseline_t_comp_s + thermal.idle_s
+        message = f"over the {MAX_THERMAL_ROWS} a thermal run may write"
+        with pytest.raises(ValueError, match=message):
+            run_thermal_scenario(thermal, (MAX_THERMAL_ROWS + 1) * cycle, fan_on=False)
 
 
 class TestReportDeterminism:

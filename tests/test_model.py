@@ -86,13 +86,17 @@ def test_shape_errors():
         model.forward(np.zeros((2, 3), np.float32), np.array([0]))
 
 
-@pytest.mark.parametrize("labels", [np.full((2, 2), 0.5, np.float32), np.array([0.0, 1.0]),
-                                    np.array([False, True]), np.zeros((2, 1), np.int64)],
-                         ids=["soft-targets", "float", "bool", "column"])
-def test_labels_must_be_a_1d_integer_array(labels):
+@pytest.mark.parametrize("labels,message", [
+    (np.full((2, 2), 0.5, np.float32), "got float32 with shape (2, 2)"),
+    (np.array([0.0, 1.0]), "got float64 with shape (2,)"),
+    (np.array([False, True]), "got bool with shape (2,)"),
+    (np.zeros((2, 1), np.int64), "got int64 with shape (2, 1)"),
+    (np.array([-1, 0]), "labels must lie in [0, 2), got -1"),
+    (np.array([0, 2]), "labels must lie in [0, 2), got 2"),
+], ids=["soft-targets", "float", "bool", "column", "negative", "past-the-last-class"])
+def test_labels_must_be_a_1d_integer_array(labels, message):
     model = RealModel([3, 2], seed=0)
-    message = re.escape(f"got {labels.dtype} with shape {labels.shape}")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         model.forward(np.zeros((2, 3), np.float32), labels)
 
 

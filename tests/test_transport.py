@@ -51,6 +51,15 @@ class TestFrame:
         with pytest.raises(WireProtocolError):
             decode_header(b"XXXX" + b"\x00" * 8)
 
+    def test_a_short_header_is_rejected(self):
+        with pytest.raises(WireProtocolError, match=r"truncated frame header \(11 bytes\)"):
+            decode_header(FRAME_MAGIC + b"\x00" * 7)
+
+    @pytest.mark.parametrize("tag", [-1, 2 ** 32])
+    def test_a_tag_outside_u32_is_refused(self, tag):
+        with pytest.raises(ValueError, match=f"tag {tag} out of u32 range"):
+            encode_frame(tag, b"")
+
     def test_float_payload_is_little_endian(self):
         arr = np.array([1.0, -2.5], dtype=np.float32)
         wire = floats_to_wire(arr)
@@ -888,6 +897,42 @@ class TestSimCluster:
         cluster = SimCluster(8, ETH)   # a ring uses K directed links, a tree 2(K-1)
         cluster.run(lambda ep: collective(np.ones(64, np.float32), CommGroup(ep)))
         assert len(cluster.queues) == links
+
+    def test_a_message_with_another_tag_is_a_tag_mismatch(self):
+        sender, receiver = SimCluster(2, ETH).endpoints
+        sender.send(1, 5, np.ones(4, np.float32))
+        with pytest.raises(TagMismatch, match="rank 1: expected tag 6 from rank 0, got 5") as err:
+            receiver.recv(0, 6)
+        assert err.value.rank == 0
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda ep: ep.advance(-1e-9), "cannot advance the clock backwards"),
+        (lambda ep: ep.send(0, 0, np.ones(1, np.float32)), "invalid destination rank 0"),
+        (lambda ep: ep.send(2, 0, np.ones(1, np.float32)), "invalid destination rank 2"),
+        (lambda ep: ep.recv(0, 0), "invalid source rank 0"),
+        (lambda ep: ep.recv(-1, 0), "invalid source rank -1"),
+    ], ids=["clock-backwards", "send-to-self", "send-past-the-last-rank", "recv-from-self",
+            "recv-from-a-negative-rank"])
+    def test_an_endpoint_refuses_a_backward_clock_and_a_peer_outside_the_cluster(self, call,
+                                                                                message):
+        endpoint = SimCluster(2, ETH).endpoints[0]
+        with pytest.raises(ValueError, match=message):
+            call(endpoint)
+        assert (endpoint.clock, endpoint.n_sends) == (0.0, 0)
+
+    def test_a_cluster_over_the_tag_block_is_refused_before_any_thread_starts(self, monkeypatch):
+        started = []
+
+        def refuse(thread):
+            started.append(thread)
+            raise RuntimeError("a rank's thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        message = "cluster size must be >= 1 and at most 2049, got 2050"
+        with pytest.raises(ValueError, match=message):
+            SimCluster(2050, ETH).run(lambda ep: None)
+        assert started == []
+        assert SimCluster(2049, ETH).size == 2049
 
     def test_sim_recv_timeout_guards_deadlock(self):
         cluster = SimCluster(2, ETH)
