@@ -24,7 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AssertionFailure, CommunicationError
-from .preset import TrainingConfig, json_fits, load_compute, load_net, load_thermal, read_json
+from .preset import (TrainingConfig, check_workers, json_fits, load_compute, load_net,
+                     load_thermal, read_json)
 from .transport.tcp import (DEFAULT_TIMEOUT, MAX_TIMEOUT, Coordinator, listen, rendezvous,
                             serve_probe, tcp_probe_client)
 
@@ -72,6 +73,16 @@ def write_manifest(out_dir: Path, argv: list[str], seed: int,
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
+
+
+def _out_dir(path: str) -> Path:
+    """The ``--out`` directory, made if missing; a path that cannot be one is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make the --out directory {path}: {exc.strerror}") from None
+    return out
 
 
 def _parse_host_port(text: str) -> tuple[str, int]:
@@ -151,8 +162,7 @@ def cmd_worker(args) -> int:
         raise ValueError(f"rank/size {args.rank}/{args.size} inconsistent with config "
                          f"workers={config.workers}")
     config.seed = _resolved_seed(args.seed, config.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     endpoint = rendezvous(args.coordinator, args.rank, args.size, timeout=args.timeout)
     try:
         worker = Worker(config, endpoint)   # the probes read the endpoint positionally
@@ -198,8 +208,7 @@ def cmd_launch(args, argv: list[str]) -> int:
         raise ValueError(f"--workers {args.workers} does not match config workers="
                          f"{config.workers}")
     seed = _resolved_seed(args.seed, config.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     coordinator = Coordinator("127.0.0.1", 0, args.workers, timeout=args.timeout)
     coordinator.start()
@@ -261,12 +270,13 @@ def cmd_sim(args, argv: list[str]) -> int:
     compute = load_compute(args.compute)
     seed = _resolved_seed(args.seed, net.seed)
     net = replace(net, seed=seed)
-    out = Path(args.out)
 
     exp = args.experiment
-    # aggregation and efficiency run at one K; a list holding a k < 1 fails the harness's check
-    if exp in ("aggregation", "efficiency") and len(args.k or []) > 1 and min(args.k) >= 1:
+    for k in args.k or []:
+        check_workers(k, "k")
+    if exp in ("aggregation", "efficiency") and len(args.k or []) > 1:
         raise ValueError(f"{exp} takes one --k value, got {','.join(map(str, args.k))}")
+    out = _out_dir(args.out)
     if exp == "scaling":
         report = run_scaling_experiment(args.model or "GoogleNet", args.batch,
                                         args.k or [1, 2, 4, 8, 16, 32], net, compute)
@@ -278,9 +288,9 @@ def cmd_sim(args, argv: list[str]) -> int:
         report = run_collective_bench(sizes, args.k or [2, 4, 8, 16], nets, compute)
     elif exp == "aggregation":
         models = [args.model] if args.model else None
-        report = run_aggregation_comparison(models, min(args.k or [138]), net, compute)
+        report = run_aggregation_comparison(models, (args.k or [138])[0], net, compute)
     elif exp == "efficiency":
-        report = run_efficiency_sweep(min(args.k or [138]), net, compute)
+        report = run_efficiency_sweep((args.k or [138])[0], net, compute)
     elif exp == "rar-vs-tree":
         report = run_rar_vs_tree(args.model or "ResNet-152",
                                  args.k or [1, 2, 4, 8, 16, 32, 46], net, compute)

@@ -83,8 +83,8 @@ def shard_batch(dataset: tuple[np.ndarray, np.ndarray], iteration: int, rank: in
 class Worker:
     """One rank's training loop over a transport endpoint.
 
-    Both phases are timed on ``endpoint.clock``. The modeled compute and
-    pack/unpack copy times of the compute preset, the device model the harness
+    Both phases are timed on ``endpoint.clock``. The modeled compute time and
+    each invocation's ``invocation_time``, from the compute preset the harness
     prices with, go to ``endpoint.advance``: a ``SimEndpoint`` charges them to
     its virtual clock, while a ``TcpEndpoint`` runs on the wall clock (where
     packing costs nothing: the gradients already live in one array).
@@ -101,15 +101,14 @@ class Worker:
 
     def _aggregate(self) -> None:
         """Sum the model's gradients over all ranks, in place: the flat array in one
-        invocation if the strategy packs, else one invocation per layer."""
+        invocation if the strategy packs, else one invocation per layer, each first
+        charged its ``invocation_time`` as priced (one rank makes none and pays nothing)."""
         collective, packed = AGGREGATIONS[self.config.aggregation]
-        flat = self.model.flat_grads
-        copies = packed and self.group.size > 1   # as priced: one rank sends nothing
-        copy_time = flat.nbytes / self.compute.pack_bandwidth if copies else 0.0
-        self.endpoint.advance(copy_time)   # the modeled pack, then unpack
-        for chunk in [flat] if packed else self.model.grads:
-            (ring_allreduce if collective == "ring" else tree_allreduce)(chunk, self.group)
-        self.endpoint.advance(copy_time)
+        allreduce = ring_allreduce if collective == "ring" else tree_allreduce
+        for chunk in [self.model.flat_grads] if packed else self.model.grads:
+            if self.group.size > 1:
+                self.endpoint.advance(self.compute.invocation_time(chunk.nbytes, packed))
+            allreduce(chunk, self.group)
 
     def train_step(self, iteration: int) -> IterationMetrics:
         cfg = self.config

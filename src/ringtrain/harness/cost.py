@@ -106,11 +106,12 @@ def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
                           compute: ComputeProfile, alg: str) -> float:
     """Communication-phase time for one iteration's gradient aggregation.
 
-    Every invocation pays the invocation overhead: a packed strategy makes
-    one invocation and pays the pack/unpack memory copies once, a chunk-wise
-    strategy makes one invocation per chunk and never copies. The chunk-wise
-    ring prices a run of whole chunks per array call and adds the
-    invocations' times in chunk order.
+    Every invocation pays ``compute.invocation_time``, the charge the
+    simulated engine pays too: a packed strategy makes one invocation and
+    pays the pack/unpack memory copies once, a chunk-wise strategy makes one
+    invocation per chunk and never copies. One rank makes no invocation and
+    is charged nothing. The chunk-wise ring prices a run of whole chunks per
+    array call and adds the invocations' times in chunk order.
     """
     if k == 1:
         return 0.0
@@ -118,9 +119,9 @@ def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
         raise ValueError(f"unknown aggregation {alg!r}")
     collective, packed = AGGREGATIONS[alg]
     buffers = np.array([profile.total_elems] if packed else profile.chunk_elems, np.int64)
-    copies = 2 * profile.total_bytes / compute.pack_bandwidth if packed else 0.0
+    charge = compute.invocation_time(profile.total_bytes, packed)
     comm = _comm_times(collective, k, net, compute.tree_segment_bytes, buffers * FLOAT_BYTES, None)
-    return float(np.cumsum(np.append(0.0, compute.invocation_overhead + copies + comm))[-1])
+    return float(np.cumsum(np.append(0.0, charge + comm))[-1])
 
 
 def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfile,
@@ -130,4 +131,4 @@ def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfi
         return 0.0
     comm = _comm_times(alg, k, net, compute.tree_segment_bytes,
                        np.array([n_bytes], dtype=np.int64), rng)
-    return compute.invocation_overhead + float(comm[0])
+    return compute.invocation_time(n_bytes, False) + float(comm[0])

@@ -14,7 +14,8 @@ from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .profiles import ComputeProfile, NetProfile, ThermalPreset
+from .profiles import FLOAT_BYTES, ComputeProfile, NetProfile, ThermalPreset
+from .transport.frame import MAX_PAYLOAD_BYTES
 
 # Each aggregation strategy: the collective it runs and whether it packs all
 # gradient chunks into one buffer (one invocation per step) or runs one
@@ -154,6 +155,11 @@ class TrainingConfig:
             raise ValueError("model_dims needs an input and an output dim")
         if min(self.model_dims) < 1:
             raise ValueError("every model_dims entry must be >= 1")
+        # a packed tree sends the whole flat gradient as one frame
+        grad_bytes = FLOAT_BYTES * sum(a * b for a, b in zip(self.model_dims, self.model_dims[1:]))
+        if grad_bytes > MAX_PAYLOAD_BYTES:
+            raise ValueError(f"model_dims {self.model_dims} give a {grad_bytes}-byte gradient, "
+                             f"over the {MAX_PAYLOAD_BYTES}-byte frame payload bound")
         if self.dataset_classes < 2:
             raise ValueError("dataset_classes must be >= 2")
         if self.model_dims[-1] != self.dataset_classes:

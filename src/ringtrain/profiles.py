@@ -133,6 +133,12 @@ class ComputeProfile:
             raise ValueError("batch must be >= 1")
         return batch * self.work_for(profile) / self.throughput
 
+    def invocation_time(self, nbytes: int, packed: bool) -> float:
+        """Device seconds one collective invocation adds to its messages, in the sim
+        and the cost model alike: the fixed overhead, plus a pack and an unpack
+        copy of the ``nbytes`` buffer when the strategy packs."""
+        return self.invocation_overhead + (2 * nbytes / self.pack_bandwidth if packed else 0.0)
+
 
 @dataclass
 class ThermalPreset:

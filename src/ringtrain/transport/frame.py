@@ -33,6 +33,9 @@ def encode_frame(tag: int, payload: bytes | memoryview) -> list[bytes | memoryvi
     """The frame as ``[header, payload]``, for one gathered send; nothing is copied."""
     if not 0 <= tag < 2 ** 32:
         raise ValueError(f"tag {tag} out of u32 range")
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        raise ValueError(f"payload of {len(payload)} bytes exceeds the "
+                         f"{MAX_PAYLOAD_BYTES}-byte bound")
     return [_HEADER.pack(FRAME_MAGIC, tag, len(payload)), payload]
 
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ringtrain import harness
 from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VARS, main
 from ringtrain.engine import TrainingConfig
 from ringtrain.errors import CommunicationError, ProtocolError, TagMismatch
@@ -696,7 +697,10 @@ def test_config_values_are_checked_against_their_field_types(argv, config, messa
 @pytest.mark.parametrize("config,message", [
     ({**BASE, "model_dims": [2, 8, 1], "dataset_classes": 1}, "dataset_classes must be >= 2"),
     (WORKERS_2050, "workers must be >= 1 and at most 2049, got 2050"),
-], ids=["one-class", "2050-workers"])
+    ({**BASE, "model_dims": [100000, 1000, 2], "aggregation": "tree_packed"},
+     "model_dims [100000, 1000, 2] give a 400008000-byte gradient, "
+     "over the 268435456-byte frame payload bound"),
+], ids=["one-class", "2050-workers", "gradient-over-the-frame-bound"])
 def test_a_config_no_worker_could_run_exits_2_before_any_socket_or_worker(config, message, tmp_path,
                                                                          monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -710,6 +714,34 @@ def test_a_config_no_worker_could_run_exits_2_before_any_socket_or_worker(config
     assert run_cli("launch", "--workers", str(config["workers"]), "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", [
+    ["sim", "thermal"],
+    ["launch", "--workers", "2", "--config", "CFG"],
+    ["worker", "--rank", "0", "--size", "2", "--coordinator", "127.0.0.1:1", "--config", "CFG"],
+], ids=["sim", "launch", "worker"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_work(command, below, tmp_path,
+                                                                    monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "x" if below else blocker
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment ran, a socket was opened or a worker started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(socket, "socket", refuse)
+    monkeypatch.setattr(harness, "run_thermal_scenario", refuse)
+    argv = [str(cfg_path) if arg == "CFG" else arg for arg in command]
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot make the --out directory {out}: "
+        f"{'Not a directory' if below else 'File exists'}"]
+    assert blocker.read_text() == "kept"
 
 
 def test_an_int_is_a_float(tmp_path):

@@ -145,11 +145,11 @@ def test_replica_consistency_all_aggregations(aggregation):
 # digests in the same commit; every other change must leave them alone.
 SIM_TRAINING_DIGESTS = {
     "ring_packed": ("823874535685cbca0b748d2a69e48048dd6efeeccf716c1858c207eb42af42fa",
-                    "ee147981f17918c95522304ebd0b7ba3eadcaaff64f8e66e8df92a6f5a72bc63"),
+                    "654ba929c6452a7893ff05d33cc18ac719939506d56bcaaf77787e71f06ba39d"),
     "tree_packed": ("2b8acdca13b979418c17cd32777fa1d7933a2778d07f4bdf87d8f5e3a1200526",
-                    "154e34d110226a75987e2b8bb534fda600b018fa6e06f50d092279eb037bd244"),
+                    "319702154174b0ec20aaa8c76b1591ca6f7d1fd497c737cacdbac6eb135a6d8c"),
     "ring_chunkwise": ("823874535685cbca0b748d2a69e48048dd6efeeccf716c1858c207eb42af42fa",
-                       "54ea2641a9f59fd04973fa6094500e99fcc172d71e4e12857089445009a89d02"),
+                       "90e43fb6c09fc63e2f48c136642649c23f2dffac2330bbb77c381678c06ce4a4"),
 }
 
 

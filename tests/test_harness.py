@@ -47,6 +47,14 @@ class TestComputeProfile:
     def test_preset_lists_all_ten_models(self):
         assert len(COMPUTE.work_per_sample) == 10
 
+    @pytest.mark.parametrize("nbytes", [0, 4, 1_000_004, build_profile("AlexNet").total_bytes])
+    def test_invocation_time_is_the_overhead_and_a_packed_buffer_copied_twice(self, nbytes):
+        # the terms aggregation_comm_time added inline: overhead + 2 * bytes / pack_bandwidth
+        assert COMPUTE.invocation_time(nbytes, False) == COMPUTE.invocation_overhead
+        assert COMPUTE.invocation_time(nbytes, True) == (
+            COMPUTE.invocation_overhead + 2 * nbytes / COMPUTE.pack_bandwidth)
+        assert PLAIN.invocation_time(nbytes, False) == 0.0
+
 
 class TestThermalModel:
     def make(self, tiers):
@@ -340,7 +348,8 @@ class TestSimMatchesCostModel:
 
 
 class TestSimTrainingMatchesCostModel:
-    """run_training_sim charges the compute preset that the harness prices with."""
+    """run_training_sim charges the compute preset that the harness prices with,
+    each invocation's overhead and copies included."""
 
     @pytest.mark.parametrize("alg", ["ring_packed", "ring_chunkwise"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -353,13 +362,18 @@ class TestSimTrainingMatchesCostModel:
         chunks = tuple(w.size for w in models[0].weights)
         assert step.t_comp == cfg.per_device_batch * sum(chunks) / COMPUTE.throughput
 
-        # the sim engine charges no invocation overhead
-        compute = dataclasses.replace(COMPUTE, invocation_overhead=0.0)
         mlp = ModelProfile("mlp", sum(chunks) * FLOAT_BYTES / MB, cfg.per_device_batch, chunks)
-        modeled = aggregation_comm_time(mlp, k, ETH, compute, alg)
-        segments = chunks if alg == "ring_chunkwise" else (sum(chunks),)
-        rel = 1e-12 if all(n % k == 0 for n in segments) else 0.01
-        assert step.t_comm == pytest.approx(modeled, rel=rel)
+        modeled = aggregation_comm_time(mlp, k, ETH, COMPUTE, alg)
+        if k == 1:
+            assert step.t_comm == modeled == 0.0
+            return
+        packed = alg == "ring_packed"
+        segments = (sum(chunks),) if packed else chunks
+        if all(n % k == 0 for n in segments):
+            assert step.t_comm == pytest.approx(modeled, rel=1e-12)
+        else:   # the rank-0 price of uneven segments: bound the messages, not the overhead
+            charge = sum(COMPUTE.invocation_time(n * FLOAT_BYTES, packed) for n in segments)
+            assert step.t_comm - charge == pytest.approx(modeled - charge, rel=0.01)
 
 
 class TestSimulateIteration:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import mmap
 import socket
 import struct
 import sys
@@ -59,6 +60,17 @@ class TestFrame:
     def test_a_tag_outside_u32_is_refused(self, tag):
         with pytest.raises(ValueError, match=f"tag {tag} out of u32 range"):
             encode_frame(tag, b"")
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_sender_refuses_a_payload_the_receiver_would(self, extra):
+        # an anonymous mapping: its pages are never touched, so nothing is allocated
+        with mmap.mmap(-1, MAX_PAYLOAD_BYTES + extra) as buf, memoryview(buf) as payload:
+            if extra:
+                with pytest.raises(ValueError, match=f"payload of {MAX_PAYLOAD_BYTES + 1} bytes"):
+                    encode_frame(7, payload)
+            else:
+                header, _ = encode_frame(7, payload)
+                assert decode_header(header) == (7, MAX_PAYLOAD_BYTES)
 
     def test_float_payload_is_little_endian(self):
         arr = np.array([1.0, -2.5], dtype=np.float32)
