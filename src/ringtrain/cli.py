@@ -94,7 +94,10 @@ def _parse_host_port(text: str) -> tuple[str, int]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    values = [int(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,6 +250,8 @@ def cmd_launch(args, argv: list[str]) -> int:
     coordinator.join()
     if failed is not None:
         rank, code = failed
+        if coordinator.error is not None:   # the cause a worker only saw as a closed link
+            print(f"coordinator failure: {coordinator.error}", file=sys.stderr)
         if code > 0:
             print(f"worker rank {rank} exited with code {code}", file=sys.stderr)
             return code
@@ -265,6 +270,7 @@ def cmd_sim(args, argv: list[str]) -> int:
     from .harness import (run_aggregation_comparison, run_collective_bench,
                           run_efficiency_sweep, run_rar_vs_tree,
                           run_scaling_experiment, run_thermal_scenario)
+    from .harness.calibrate import ANCHOR_37_5_MB
 
     net = load_net(args.net)
     compute = load_compute(args.compute)
@@ -284,7 +290,7 @@ def cmd_sim(args, argv: list[str]) -> int:
         nets = {args.net: net}   # a link named twice is priced once, with the run's seed
         if args.net2 != args.net:
             nets[args.net2] = replace(load_net(args.net2), seed=seed + 1)
-        sizes = args.sizes or [int(37.5 * 2 ** 20)]
+        sizes = args.sizes or [ANCHOR_37_5_MB]
         report = run_collective_bench(sizes, args.k or [2, 4, 8, 16], nets, compute)
     elif exp == "aggregation":
         models = [args.model] if args.model else None

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import LayoutError, ProtocolError
 from .preset import MAX_WORKERS, check_workers
+from .profiles import segment_size
 
 # Each collective invocation claims a block of tags so that concurrent or
 # back-to-back calls can never match each other's messages: one tag per step
@@ -74,28 +76,6 @@ def unpack(data: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     return [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
 
 
-def segment_size(n: int, k: int, seg):
-    """Elements in ring segment ``seg`` (an int or an int array) of n split k ways.
-
-    Segment s gets ceil(n/k) elements when s < n mod k, floor(n/k) otherwise;
-    zero-length segments are legal when n < k. No padding, so byte counts on
-    the wire stay faithful.
-    """
-    base, rem = divmod(n, k)
-    return base + (seg < rem)
-
-
-def segment_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    """``(start, end)`` of each of the k ring segments of n elements, in order."""
-    bounds = []
-    start = 0
-    for s in range(k):
-        end = start + segment_size(n, k, s)
-        bounds.append((start, end))
-        start = end
-    return bounds
-
-
 def ring_steps(rank: int, k: int):
     """Yield rank's 2(K-1) ring steps as ``(tag, dst, send_seg, src, recv_seg, reduce)``.
 
@@ -136,29 +116,31 @@ def tree_steps(rank: int, k: int):
 
 
 def _allreduce(data: np.ndarray, group: CommGroup, steps, n_segments: int) -> np.ndarray:
-    """Run this rank's ``steps`` over ``data`` cut into ``n_segments``, summing in place;
-    returns ``data``."""
+    """Run this rank's ``steps`` over ``data`` cut by ``segment_size`` into ``n_segments``
+    views, summing in place; returns ``data``."""
     if data.dtype != np.float32 or not data.flags.c_contiguous:
         raise ValueError("a collective sums a C-contiguous float32 array in place")
     flat = data.reshape(-1)   # a view: data is contiguous
     ep = group.endpoint
     tag0 = group.next_tag_block()
-    bounds = segment_bounds(flat.size, n_segments)
+    edges = list(accumulate((segment_size(flat.size, n_segments, s) for s in range(n_segments)),
+                            initial=0))
+    segments = [flat[lo:hi] for lo, hi in zip(edges, edges[1:])]
     for tag, dst, send_seg, src, recv_seg, reduce in steps:
         if src is None:
-            ep.send(dst, tag0 + tag, flat[slice(*bounds[send_seg])])
+            ep.send(dst, tag0 + tag, segments[send_seg])
             continue
         incoming = (ep.recv(src, tag0 + tag) if dst is None else
-                    ep.sendrecv(dst, src, tag0 + tag, flat[slice(*bounds[send_seg])]))
-        lo, hi = bounds[recv_seg]
-        if incoming.size != hi - lo:
+                    ep.sendrecv(dst, src, tag0 + tag, segments[send_seg]))
+        segment = segments[recv_seg]
+        if incoming.size != segment.size:
             raise ProtocolError(
                 f"rank {group.rank}: segment {recv_seg} from rank {src} arrived with "
-                f"{incoming.size} elements, expected {hi - lo}", rank=src)
+                f"{incoming.size} elements, expected {segment.size}", rank=src)
         if reduce:
-            flat[lo:hi] += incoming
+            segment += incoming
         else:
-            flat[lo:hi] = incoming   # a TCP payload views its frame's buffer; copy it out
+            segment[:] = incoming   # a TCP payload views its frame's buffer; copy it out
     return data
 
 

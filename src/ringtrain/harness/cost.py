@@ -5,9 +5,10 @@ moving no payload, in blocks of at most ``BLOCK_MESSAGES`` messages with one
 array call to ``sim_transfer_time`` each, so memory stays bounded for any
 payload, and sum the times in message order. The ring cost follows rank 0's
 2(K-1) receives from ``collectives.ring_steps``, the schedule
-``ring_allreduce`` runs, with the real uneven segment sizes; the tree
-baseline models a segmented, pipelined binomial reduce+broadcast, which is
-how production libraries keep large-message allreduce time nearly
+``ring_allreduce`` runs, with the real uneven segment sizes of
+``profiles.segment_size``; the tree baseline models a segmented, pipelined
+binomial reduce+broadcast over the rounds of ``collectives.tree_steps``,
+which is how production libraries keep large-message allreduce time nearly
 independent of the participant count.
 
 Each call draws every message's jitter from one generator seeded from
@@ -24,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..collectives import ring_steps, segment_size
+from ..collectives import ring_steps, tree_steps
 from ..preset import AGGREGATIONS, check_workers
-from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile, NetProfile
+from ..profiles import FLOAT_BYTES, ComputeProfile, ModelProfile, NetProfile, segment_size
 from ..transport.net import sim_transfer_time
 
 # Messages priced per sim_transfer_time call: few calls, and a cost call's
@@ -47,9 +48,10 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
 
     Each sends ``count`` messages; ``sizes(rows, lo, hi)`` gives the byte
     counts of messages lo..hi-1 of buffers ``n_bytes[rows]``, one row each.
-    The tree sends m segments across a depth-d tree in (d - 1 + m) segment
-    slots per direction, and both directions are charged; as its count
-    depends on the size, it takes one buffer.
+    The tree sends m segments across a depth-d tree, d the reduce rounds of
+    ``tree_steps``, in (d - 1 + m) segment slots per direction, and both
+    directions are charged; as its count depends on the size, it takes one
+    buffer.
     """
     check_workers(k, "k")
     if collective == "ring":
@@ -61,7 +63,8 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
         (size,) = n_bytes.tolist()
         if size < 0:
             raise ValueError("nbytes must be >= 0")
-        depth = max(1, (k - 1).bit_length())   # the rounds of collectives.tree_steps
+        # rank 0 receives in every reduce round of the tree
+        depth = max(1, sum(reduce for *_, reduce in tree_steps(0, k)))
         full, last = divmod(size, segment_bytes)
         # (bytes, messages) runs of both directions; a zero-byte collective
         # still crosses every hop once per direction

@@ -42,8 +42,9 @@ PROFILE_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 class ModelProfile:
     """Communication footprint of one evaluation network.
 
-    ``chunk_elems`` holds the per-chunk float32 element counts; their sum times
-    four bytes reproduces ``size_mb`` to within one element of rounding.
+    ``chunk_elems`` holds the per-chunk float32 element counts, split by
+    ``segment_size``; their sum times four bytes reproduces ``size_mb`` to
+    within one element of rounding.
     """
 
     name: str
@@ -64,16 +65,17 @@ class ModelProfile:
         return self.total_elems * FLOAT_BYTES
 
 
-def split_elements(total: int, chunks: int) -> tuple[int, ...]:
-    """Split ``total`` elements into ``chunks`` near-equal parts.
+def segment_size(n: int, k: int, seg):
+    """Elements in part ``seg`` (an int or an int array) of n elements split k ways.
 
-    The remainder is spread one element at a time over the lowest-indexed
-    chunks, so the split is deterministic and reproducible.
+    The one near-equal split: the ring's segments, a registry model's chunks
+    and the cost model's priced messages. Part s gets ceil(n/k) elements when
+    s < n mod k, floor(n/k) otherwise, so the remainder goes one element at a
+    time to the lowest-indexed parts; zero-length parts are legal when n < k.
+    No padding, so byte counts on the wire stay faithful.
     """
-    if chunks < 1:
-        raise ValueError(f"chunk count must be >= 1, got {chunks}")
-    base, rem = divmod(total, chunks)
-    return tuple(base + 1 if i < rem else base for i in range(chunks))
+    base, rem = divmod(n, k)
+    return base + (seg < rem)
 
 
 def build_profile(name: str) -> ModelProfile:
@@ -86,7 +88,8 @@ def build_profile(name: str) -> ModelProfile:
         raise KeyError(f"unknown model profile {name!r}; known names: {known}") from None
     total = round(size_mb * MB / FLOAT_BYTES)
     return ModelProfile(name=key, size_mb=size_mb, batch_per_device=batch,
-                        chunk_elems=split_elements(total, num_chunks))
+                        chunk_elems=tuple(segment_size(total, num_chunks, c)
+                                          for c in range(num_chunks)))
 
 
 def all_profiles() -> list[ModelProfile]:

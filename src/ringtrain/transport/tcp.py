@@ -290,6 +290,7 @@ class Coordinator(threading.Thread):
         self.size = size
         self.timeout = timeout
         self.error: Exception | None = None
+        self._stopped = False
 
     def run(self) -> None:
         """Accept and read all registrations within ``timeout``, then send everyone
@@ -305,12 +306,15 @@ class Coordinator(threading.Thread):
                 for fs, _ in workers.values():
                     fs.send_frame(TAG_TABLE, payload, self.timeout)
         except OSError as exc:   # from the listener: a timeout is already a RecvTimeout
-            self.error = CommunicationError(f"listener {self.address} failed: {exc}")
+            if not self._stopped:   # stop() fails the accept on purpose
+                self.error = CommunicationError(f"listener {self.address} failed: {exc}")
         except Exception as exc:  # noqa: BLE001 - surfaced to whoever joins
             self.error = exc
 
     def stop(self) -> None:
-        """Stop waiting for connections: an accept in progress fails at once."""
+        """Stop waiting for connections: an accept in progress fails at once, and is
+        no failure."""
+        self._stopped = True
         with suppress(OSError):   # run has closed it already
             self._server.shutdown(socket.SHUT_RDWR)
 

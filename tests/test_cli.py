@@ -197,6 +197,27 @@ def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, cap
     assert "worker rank 1 exited with code 2" in capsys.readouterr().err
 
 
+def test_launch_prints_the_coordinators_failure_with_the_failed_rank(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                   iterations=1, seed=0).to_json(cfg_path)
+    popen = subprocess.Popen
+
+    def rank_1_never_registers(cmd, env=None):
+        if cmd[cmd.index("--rank") + 1] == "1":
+            cmd = [sys.executable, "-c", "import time; time.sleep(30)"]
+        return popen(cmd, env=env)
+
+    monkeypatch.setattr(subprocess, "Popen", rank_1_never_registers)
+    code = run_cli("launch", "--workers", "2", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out"), "--timeout", "2")
+    # rank 0 only sees its link to the coordinator close; the coordinator says why
+    assert code == EXIT_COMM
+    assert capsys.readouterr().err.splitlines() == [
+        "coordinator failure: rendezvous timed out with 1/2 workers",
+        "worker rank 0 exited with code 3"]
+
+
 # a real-time signal, past the last one that has a name, is named by its number
 @pytest.mark.parametrize("signum, name", [(signal.SIGKILL, "SIGKILL"),
                                           (max(signal.Signals) + 1, None)],
@@ -441,6 +462,16 @@ def test_no_workers_or_a_negative_rank_exits_2(argv, workers, message, tmp_path,
                                "workers": workers}))
     assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["scaling", "--k", ""], ["scaling", "--k", ","],
+                                  ["collective", "--sizes", ""]],
+                         ids=["empty-k", "comma-k", "empty-sizes"])
+def test_sim_with_an_empty_int_list_exits_2_and_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("sim", *argv, "--out", str(out)) == EXIT_USAGE
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["aggregation", "efficiency"])

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ringtrain.collectives import (CommGroup, pack, ring_allreduce, ring_steps,
-                                   segment_bounds, tree_allreduce, tree_steps, unpack)
+                                   tree_allreduce, tree_steps, unpack)
 from ringtrain.engine import TrainingConfig, Worker
 from ringtrain.errors import CommunicationError, LayoutError, ProtocolError
-from ringtrain.profiles import build_profile
+from ringtrain.profiles import build_profile, segment_size
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
 
@@ -77,14 +77,25 @@ class TestPackUnpack:
                 unpack(data, shapes[:i] + [(sizes[i] - 1,)] + shapes[i + 1:])
 
 
-class TestSegments:
-    def test_uneven_split(self):
-        assert segment_bounds(13, 5) == [(0, 3), (3, 6), (6, 9), (9, 11), (11, 13)]
+def split(n, k):
+    return [segment_size(n, k, s) for s in range(k)]
 
-    def test_zero_length_segments_when_n_below_k(self):
-        bounds = segment_bounds(3, 5)
-        sizes = [hi - lo for lo, hi in bounds]
-        assert sizes == [1, 1, 1, 0, 0]
+
+class TestSegments:
+    @pytest.mark.parametrize("n, k, sizes", [
+        (13, 5, [3, 3, 3, 2, 2]),
+        (10, 4, [3, 3, 2, 2]),
+        (7, 7, [1] * 7),
+        (3, 5, [1, 1, 1, 0, 0]),   # zero-length segments when n < k
+    ], ids=["13-5", "10-4", "7-7", "3-5"])
+    def test_remainder_goes_lowest_first(self, n, k, sizes):
+        assert split(n, k) == sizes
+
+    def test_parts_cover_the_whole(self):
+        assert sum(split(123456, 932)) == 123456
+
+    def test_an_index_array_gives_each_part(self):
+        assert segment_size(13, 5, np.arange(5)).tolist() == split(13, 5)
 
 
 def test_ring_steps_form_one_consistent_schedule():

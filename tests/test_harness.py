@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringtrain.collectives import CommGroup, ring_allreduce, ring_steps, segment_bounds
+from ringtrain.collectives import CommGroup, ring_allreduce, ring_steps
 from ringtrain.engine import TrainingConfig, run_training_sim
 from ringtrain.errors import AssertionFailure
 from ringtrain.harness import (aggregation_comm_time, collective_time,
@@ -114,13 +114,14 @@ class TestCostModel:
         assert delta == pytest.approx(0.01 * p.num_chunks)
 
     def test_chunkwise_time_grows_with_chunk_count_at_equal_size(self):
-        from ringtrain.profiles import ModelProfile, split_elements
+        from ringtrain.profiles import ModelProfile, segment_size
         total = 2 ** 20
         times = []
         for chunks in (4, 16, 64, 256):
             profile = ModelProfile(name=f"synthetic-{chunks}", size_mb=4.0,
                                    batch_per_device=1,
-                                   chunk_elems=split_elements(total, chunks))
+                                   chunk_elems=tuple(segment_size(total, chunks, c)
+                                                     for c in range(chunks)))
             times.append(aggregation_comm_time(profile, 8, ETH, COMPUTE,
                                                "ring_chunkwise"))
         assert times == sorted(times)
@@ -163,11 +164,10 @@ def _ring_walk(n_elems, k, net, rng):
     """Rank 0's receives priced one message at a time, summed in order."""
     if k == 1:
         return 0.0
-    bounds = segment_bounds(n_elems, k)
     total = 0.0
     for *_, recv_seg, _ in ring_steps(0, k):
-        lo, hi = bounds[recv_seg]
-        total += _message_time((hi - lo) * FLOAT_BYTES, k, net, rng)
+        elems = n_elems // k + (recv_seg < n_elems % k)
+        total += _message_time(elems * FLOAT_BYTES, k, net, rng)
     return total
 
 
@@ -352,11 +352,15 @@ class TestSimTrainingMatchesCostModel:
     each invocation's overhead and copies included."""
 
     @pytest.mark.parametrize("alg", ["ring_packed", "ring_chunkwise"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_one_step_matches_the_analytic_iteration(self, k, alg):
+    @pytest.mark.parametrize("k, dims", [
+        *[pytest.param(k, [64, 256, 256, 10], id=str(k)) for k in (1, 2, 3, 4, 46, 138)],
+        # the paper's K over layers that both divide, so the tight bound holds
+        *[pytest.param(k, [138, 138, 10], id=f"{k}-divisible") for k in (46, 138)]])
+    def test_one_step_matches_the_analytic_iteration(self, k, dims, alg):
         cfg = TrainingConfig(global_batch=8 * k, per_device_batch=8, workers=k,
-                             iterations=1, aggregation=alg, model_dims=[64, 256, 256, 10],
-                             dataset_classes=10)
+                             iterations=1, aggregation=alg, model_dims=dims,
+                             dataset_classes=10,
+                             dataset_size=max(TrainingConfig.dataset_size, 8 * k))
         metrics, models = run_training_sim(cfg)
         step = metrics[0][0]
         chunks = tuple(w.size for w in models[0].weights)

@@ -1,6 +1,6 @@
 import pytest
 
-from ringtrain.profiles import MB, PROFILE_NAMES, all_profiles, build_profile, split_elements
+from ringtrain.profiles import MB, PROFILE_NAMES, all_profiles, build_profile
 
 # (name, size_mb, chunks, batch) for the full evaluation table
 TABLE = [
@@ -49,13 +49,6 @@ def test_aliases_resolve_to_table_spelling():
 def test_unknown_name_raises():
     with pytest.raises(KeyError):
         build_profile("VGG-16")
-
-
-def test_split_elements_remainder_goes_lowest_first():
-    assert split_elements(10, 4) == (3, 3, 2, 2)
-    assert split_elements(7, 7) == (1,) * 7
-    assert split_elements(3, 5) == (1, 1, 1, 0, 0)
-    assert sum(split_elements(123456, 932)) == 123456
 
 
 def test_all_profiles_has_ten_rows():
