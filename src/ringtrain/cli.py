@@ -310,12 +310,6 @@ def cmd_sim(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _print_rates(rates: list[float], label: str) -> None:
-    mean = sum(rates) / len(rates)
-    std = (sum((r - mean) ** 2 for r in rates) / len(rates)) ** 0.5
-    print(f"{mean:.2f} +- {std:.2f} Mbps over {len(rates)} runs{label}")
-
-
 def cmd_probe(args) -> int:
     if args.repeat < 1 or not 0 < args.seconds < float("inf"):
         raise ValueError(f"probe needs --repeat >= 1 and --seconds > 0 and finite, "
@@ -327,25 +321,17 @@ def cmd_probe(args) -> int:
         serve_probe(listener)
         return EXIT_OK
     if args.sim:
-        from .transport.net import sim_transfer_time
-        from .transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES, sim_probe_bandwidth
+        from .transport.sim import sim_probe_bandwidth
 
         profile = load_net(args.sim)
         profile = replace(profile, seed=_resolved_seed(args.seed, profile.seed))
-        per_message = sim_transfer_time(PROBE_MESSAGE_BYTES, 2, replace(profile, jitter_frac=0.0))
-        if args.repeat * args.seconds > MAX_PROBE_MESSAGES * per_message:
-            raise ValueError(f"probe --sim of {args.repeat} x {args.seconds} s needs more than "
-                             f"the {MAX_PROBE_MESSAGES} messages a simulated probe may send "
-                             f"({per_message:.3g} s each on {args.sim})")
-        rates, aborted = [], False
-        for i in range(args.repeat):
-            rate, bad = sim_probe_bandwidth(replace(profile, seed=profile.seed + i),
-                                            args.seconds)
-            rates.append(rate)
-            aborted = aborted or bad
-        _print_rates(rates, " (aborted: partial result)" if aborted else "")
+        rates, aborted = sim_probe_bandwidth(profile, args.seconds, args.repeat)
     else:
-        _print_rates(tcp_probe_client(args.client, args.seconds, args.repeat), "")
+        rates, aborted = tcp_probe_client(args.client, args.seconds, args.repeat), False
+    mean = sum(rates) / len(rates)
+    std = (sum((r - mean) ** 2 for r in rates) / len(rates)) ** 0.5
+    label = " (aborted: partial result)" if aborted else ""
+    print(f"{mean:.2f} +- {std:.2f} Mbps over {len(rates)} runs{label}")
     return EXIT_OK
 
 

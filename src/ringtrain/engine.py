@@ -120,8 +120,8 @@ class Worker:
             t0 = self.endpoint.clock
             loss, cache = self.model.forward(inputs, labels)
             self.model.backward(cache)
-            self.endpoint.advance(cfg.per_device_batch * self.model.param_count()
-                                  / self.compute.throughput)
+            self.endpoint.advance(self.compute.compute_time(cfg.per_device_batch,
+                                                            self.model.param_count()))
             t1 = self.endpoint.clock
             phase = "aggregate"
             self._aggregate()

@@ -79,11 +79,12 @@ def fit_throughput_boundary(net: NetProfile, compute: ComputeProfile) -> float:
     profile = build_profile("GoogleNet")
     comm_small = aggregation_comm_time(profile, 16, net, compute, "ring_packed")
     comm_large = aggregation_comm_time(profile, 32, net, compute, "ring_packed")
+    work = compute.work_for(profile)
 
     def inversion(throughput: float) -> float:
         cp = replace(compute, throughput=throughput)
-        total_small = cp.compute_time(profile, 2) + comm_small   # 32 samples on 16 workers
-        total_large = cp.compute_time(profile, 1) + comm_large   # 32 samples on 32 workers
+        total_small = cp.compute_time(2, work) + comm_small   # 32 samples on 16 workers
+        total_large = cp.compute_time(1, work) + comm_large   # 32 samples on 32 workers
         return total_large - total_small
 
     return bisect_increasing(inversion, 1e6, 1e12, 0.0)

@@ -9,7 +9,8 @@ payload, and sum the times in message order. The ring cost follows rank 0's
 ``profiles.segment_size``; the tree baseline models a segmented, pipelined
 binomial reduce+broadcast over the rounds of ``collectives.tree_steps``,
 which is how production libraries keep large-message allreduce time nearly
-independent of the participant count.
+independent of the participant count. A tree that would send more than
+``MAX_TREE_MESSAGES`` messages is refused before anything is priced.
 
 Each call draws every message's jitter from one generator seeded from
 ``net.seed``, in message order. ``collective_time`` also takes the caller's
@@ -33,6 +34,10 @@ from ..transport.net import sim_transfer_time
 # Messages priced per sim_transfer_time call: few calls, and a cost call's
 # arrays stay near 0.4 MiB whatever the payload or the number of chunks.
 BLOCK_MESSAGES = 8192
+# The most messages one tree allreduce may send: 10,000,000 take about 0.1 s on
+# ethernet and 0.4 s on wifi5 at K=16 on a 2-vCPU Xeon, so a payload that needs
+# more (over 300 GiB at the 64 KiB segment) is refused rather than priced for minutes.
+MAX_TREE_MESSAGES = 10_000_000
 
 
 @lru_cache(maxsize=32)
@@ -61,8 +66,6 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
             segment_size(elems[rows], k, order[lo:hi]) * FLOAT_BYTES)
     if collective == "tree":
         (size,) = n_bytes.tolist()
-        if size < 0:
-            raise ValueError("nbytes must be >= 0")
         # rank 0 receives in every reduce round of the tree
         depth = max(1, sum(reduce for *_, reduce in tree_steps(0, k)))
         full, last = divmod(size, segment_bytes)
@@ -70,6 +73,10 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
         # still crosses every hop once per direction
         runs = [(segment_bytes, full), (last, int(last > 0 or size == 0)),
                 (min(segment_bytes, size), depth - 1)] * 2
+        count = sum(n for _, n in runs)
+        if count > MAX_TREE_MESSAGES:
+            raise ValueError(f"a tree allreduce of {size} bytes in {segment_bytes}-byte segments "
+                             f"sends {count} messages, more than the {MAX_TREE_MESSAGES} it may")
 
         def tree(rows, lo: int, hi: int) -> np.ndarray:
             counts, start = [], 0
@@ -77,7 +84,7 @@ def _schedule(collective: str, k: int, segment_bytes: int | None, n_bytes: np.nd
                 counts.append(max(0, min(start + n, hi) - max(start, lo)))
                 start += n
             return np.repeat([b for b, _ in runs], counts)[None, :]
-        return sum(n for _, n in runs), tree
+        return count, tree
     raise ValueError(f"unknown collective {collective!r}")
 
 
@@ -129,7 +136,11 @@ def aggregation_comm_time(profile: ModelProfile, k: int, net: NetProfile,
 
 def collective_time(n_bytes: int, k: int, net: NetProfile, compute: ComputeProfile,
                     alg: str, rng: np.random.Generator | None = None) -> float:
-    """Bare allreduce benchmark time for a buffer of ``n_bytes``."""
+    """Bare allreduce benchmark time for a buffer of ``n_bytes``, 0 <= n_bytes < 2**63;
+    the ring moves whole float32 elements, so it takes only multiples of ``FLOAT_BYTES``."""
+    if not 0 <= n_bytes < 2 ** 63 or alg == "ring" and n_bytes % FLOAT_BYTES:
+        raise ValueError(f"nbytes must be >= 0 and below 2**63, and a multiple of {FLOAT_BYTES} "
+                         f"for the ring, which moves whole float32 elements; got {n_bytes}")
     if k == 1:
         return 0.0
     comm = _comm_times(alg, k, net, compute.tree_segment_bytes,

@@ -109,7 +109,7 @@ def _meta(net: NetProfile | dict, compute: ComputeProfile | None, seed, **extra)
 def simulate_iteration(profile: ModelProfile, batch: int, compute: ComputeProfile,
                        k: int, net: NetProfile) -> tuple[float, float]:
     """One simulated iteration's (t_comp, t_comm): modeled compute + ring_packed."""
-    return (compute.compute_time(profile, batch),
+    return (compute.compute_time(batch, compute.work_for(profile)),
             aggregation_comm_time(profile, k, net, compute, "ring_packed"))
 
 

@@ -130,11 +130,11 @@ class ComputeProfile:
     def work_for(self, profile: ModelProfile) -> float:
         return float(self.work_per_sample.get(profile.name, profile.total_elems))
 
-    def compute_time(self, profile: ModelProfile, batch: int) -> float:
-        """Seconds of computation for one iteration at the given batch."""
+    def compute_time(self, batch: int, work: float) -> float:
+        """Seconds of computation for one iteration of ``batch`` samples of ``work`` each."""
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        return batch * self.work_for(profile) / self.throughput
+        return batch * work / self.throughput
 
     def invocation_time(self, nbytes: int, packed: bool) -> float:
         """Device seconds one collective invocation adds to its messages, in the sim

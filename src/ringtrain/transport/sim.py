@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict, deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -181,30 +182,37 @@ class SimCluster:
         return results
 
 
-# The simulated probe streams messages of this size. The CLI refuses a probe
-# whose repeats could need more than MAX_PROBE_MESSAGES of them in all, about
-# 10 s of simulation, rather than run for minutes or forever.
+# The simulated probe's message size, and the most messages its repeats may send
+# in all: about 10 s of simulation, rather than minutes or forever.
 PROBE_MESSAGE_BYTES = 4 * 2 ** 20
 MAX_PROBE_MESSAGES = 10_000_000
 
 
-def sim_probe_bandwidth(profile: NetProfile, duration_s: float) -> tuple[float, bool]:
-    """Simulated point-to-point probe: stream 4 MiB messages for a virtual duration.
+def sim_probe_bandwidth(profile: NetProfile, seconds: float,
+                        repeat: int) -> tuple[list[float], bool]:
+    """Simulated point-to-point probe: ``repeat`` runs of 4 MiB messages, ``seconds`` each.
 
-    Returns (Mbps, aborted). Each message drops with the profile's
-    ``disconnect_prob``; a dropped message ends the probe with ``aborted=True``,
-    and the rate covers the messages acknowledged before it.
+    Returns (Mbps per run, aborted). Run ``i`` draws from
+    ``default_rng(profile.seed + i)``. Each message drops with the profile's
+    ``disconnect_prob``; a dropped message ends its run and sets ``aborted``,
+    and that run's rate covers the messages acknowledged before it. A probe
+    that could need more than ``MAX_PROBE_MESSAGES`` messages at the link's
+    jitter-free transfer time is a ``ValueError``, raised before any draw.
     """
-    rng = np.random.default_rng(profile.seed)
-    elapsed = 0.0
-    acked = 0
-    aborted = False
-    while elapsed < duration_s:
-        if profile.disconnect_prob > 0 and rng.random() < profile.disconnect_prob:
-            aborted = True
-            break
-        elapsed += sim_transfer_time(PROBE_MESSAGE_BYTES, 2, profile, rng)
-        acked += PROBE_MESSAGE_BYTES
-    if elapsed <= 0.0:
-        return 0.0, aborted
-    return acked * 8.0 / (1e6 * elapsed), aborted
+    per_message = sim_transfer_time(PROBE_MESSAGE_BYTES, 2, replace(profile, jitter_frac=0.0))
+    if repeat * seconds > MAX_PROBE_MESSAGES * per_message:
+        raise ValueError(f"{repeat} probe runs of {seconds} s need more than "
+                         f"the {MAX_PROBE_MESSAGES} messages a simulated probe may send "
+                         f"({per_message:.3g} s each)")
+    rates, aborted = [], False
+    for i in range(repeat):
+        rng = np.random.default_rng(profile.seed + i)
+        elapsed, acked = 0.0, 0
+        while elapsed < seconds:
+            if profile.disconnect_prob > 0 and rng.random() < profile.disconnect_prob:
+                aborted = True
+                break
+            elapsed += sim_transfer_time(PROBE_MESSAGE_BYTES, 2, profile, rng)
+            acked += PROBE_MESSAGE_BYTES
+        rates.append(acked * 8.0 / (1e6 * elapsed) if elapsed > 0.0 else 0.0)
+    return rates, aborted

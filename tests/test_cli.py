@@ -18,6 +18,7 @@ from ringtrain.cli import EXIT_ASSERT, EXIT_COMM, EXIT_OK, EXIT_USAGE, THREAD_VA
 from ringtrain.engine import TrainingConfig
 from ringtrain.errors import CommunicationError, ProtocolError, TagMismatch
 from ringtrain.harness import run_collective_bench
+from ringtrain.harness.cost import MAX_TREE_MESSAGES
 from ringtrain.preset import load_compute, load_net, load_thermal, preset_path
 from ringtrain.transport.frame import FRAME_MAGIC
 from ringtrain.transport.net import sim_transfer_time
@@ -472,6 +473,24 @@ def test_sim_with_an_empty_int_list_exits_2_and_writes_nothing(argv, tmp_path, c
     assert run_cli("sim", *argv, "--out", str(out)) == EXIT_USAGE
     assert "expected comma-separated integers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size, message", [
+    ("3", "for the ring, which moves whole float32 elements; got 3"),
+    (str(2 ** 63), "below 2**63, and a multiple of 4 for the ring, which moves whole float32 "
+                   "elements; got 9223372036854775808"),
+    (str(2 ** 50), f"of 1125899906842624 bytes in 65536-byte segments sends 34359738368 "
+                   f"messages, more than the {MAX_TREE_MESSAGES} it may")],
+    ids=["sub-float", "past-int64", "long-tree"])
+def test_sim_collective_with_a_size_it_cannot_price_exits_2_at_once(size, message, tmp_path,
+                                                                    capsys):
+    t0 = time.perf_counter()
+    assert run_cli("sim", "collective", "--sizes", size, "--k", "2",
+                   "--out", str(tmp_path)) == EXIT_USAGE
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "collective.csv").exists()
 
 
 @pytest.mark.parametrize("experiment", ["aggregation", "efficiency"])

@@ -35,14 +35,14 @@ BARE = dataclasses.replace(COMPUTE, invocation_overhead=0.0)  # a collective's m
 class TestComputeProfile:
     def test_time_is_linear_in_batch_and_throughput(self):
         p = build_profile("GoogleNet")
-        t1 = PLAIN.compute_time(p, 4)
-        assert PLAIN.compute_time(p, 8) == pytest.approx(2 * t1)
+        t1 = PLAIN.compute_time(4, PLAIN.work_for(p))
+        assert PLAIN.compute_time(8, PLAIN.work_for(p)) == pytest.approx(2 * t1)
         fast = dataclasses.replace(PLAIN, throughput=2e8)
-        assert fast.compute_time(p, 4) == pytest.approx(t1 / 2)
+        assert fast.compute_time(4, fast.work_for(p)) == pytest.approx(t1 / 2)
 
     def test_unlisted_model_falls_back_to_element_count(self):
         p = build_profile("GoogleNet")
-        assert PLAIN.compute_time(p, 1) == pytest.approx(p.total_elems / 1e8)
+        assert PLAIN.compute_time(1, PLAIN.work_for(p)) == pytest.approx(p.total_elems / 1e8)
 
     def test_preset_lists_all_ten_models(self):
         assert len(COMPUTE.work_per_sample) == 10
@@ -423,7 +423,7 @@ class TestScalingExperiment:
         compute = dataclasses.replace(COMPUTE, work_per_sample={})
 
         class Weird(ComputeProfile):
-            def compute_time(self, profile, batch):
+            def compute_time(self, batch, work):
                 return 1.0  # batch-independent: halving law must fail
 
         weird = Weird(throughput=1e8)

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1029,16 +1030,36 @@ def test_real_and_sim_transports_agree_numerically():
 
 class TestProbes:
     def test_sim_probe_matches_profile_bandwidth(self):
-        rate, aborted = sim_probe_bandwidth(ETH, duration_s=5.0)
+        (rate,), aborted = sim_probe_bandwidth(ETH, 5.0, 1)
         assert not aborted
         assert rate == pytest.approx(940.0, rel=0.01)
 
     def test_sim_probe_disconnect_aborts_immediately(self):
         prof = NetProfile(base_bandwidth=940.0, latency=1e-4,
                           disconnect_prob=0.9999999, seed=2)
-        rate, aborted = sim_probe_bandwidth(prof, duration_s=1.0)
+        (rate,), aborted = sim_probe_bandwidth(prof, 1.0, 1)
         assert aborted
         assert rate == 0.0
+
+    @pytest.mark.parametrize("disconnect_prob", [0.0, 0.2])
+    def test_run_i_of_a_probe_is_a_one_run_probe_on_seed_plus_i(self, disconnect_prob):
+        prof = NetProfile(base_bandwidth=400.0, latency=2e-3, jitter_frac=0.1,
+                          disconnect_prob=disconnect_prob, seed=7)
+        rates, aborted = sim_probe_bandwidth(prof, 0.5, 3)
+        runs = [sim_probe_bandwidth(replace(prof, seed=7 + i), 0.5, 1) for i in range(3)]
+        assert rates == [rate for (rate,), _ in runs]
+        assert len(set(rates)) == 3
+        assert aborted == any(bad for _, bad in runs) == (disconnect_prob > 0)
+
+    def test_a_probe_over_the_message_cap_is_refused_before_any_draw(self, monkeypatch):
+        from ringtrain.transport import sim
+        monkeypatch.setattr(sim.np.random, "default_rng", None)   # a draw would fail
+        per_message = sim_transfer_time(sim.PROBE_MESSAGE_BYTES, 2, ETH)
+        seconds = 1.01 * sim.MAX_PROBE_MESSAGES * per_message / 3
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"the {sim.MAX_PROBE_MESSAGES} messages"):
+            sim_probe_bandwidth(ETH, seconds, 3)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_probe_server_closes_a_connection_that_sends_a_wrong_tag(self, probe_session):
         addr, thread, failures = probe_session
