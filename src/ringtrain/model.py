@@ -9,7 +9,6 @@ summed across ranks without packing them first.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,44 +124,3 @@ class RealModel:
         step += self.flat_grads
         step *= lr
         self.flat_weights -= step
-
-    def clone(self, dtype=None) -> "RealModel":
-        """Copy of this model, optionally re-cast (float64 shadow for checks)."""
-        other = RealModel(self.dims, self.seed, dtype=dtype or self.dtype)
-        other.flat_weights[...] = self.flat_weights
-        return other
-
-    def weight_checksum(self) -> str:
-        return hashlib.sha256(self.flat_weights.tobytes()).hexdigest()
-
-
-def finite_difference_check(model: RealModel, inputs: np.ndarray, labels: np.ndarray,
-                            step: float = 1e-3) -> float:
-    """Max relative error of backward() against central differences.
-
-    Both paths run in float64 on a shadow copy so the comparison is not
-    drowned by float32 rounding.
-    """
-    shadow = model.clone(dtype=np.float64)
-    x = np.asarray(inputs, dtype=np.float64)
-    _, cache = shadow.forward(x, labels)
-    analytic = shadow.backward(cache)
-
-    worst = 0.0
-    for li, w in enumerate(shadow.weights):
-        numeric = np.zeros_like(w)
-        flat = w.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            lp, _ = shadow.forward(x, labels)
-            flat[j] = orig - step
-            lm, _ = shadow.forward(x, labels)
-            flat[j] = orig
-            num_flat[j] = (lp - lm) / (2.0 * step)
-        denom = np.maximum(np.abs(numeric), np.abs(analytic[li]))
-        denom = np.maximum(denom, 1e-8)
-        rel = np.abs(numeric - analytic[li]) / denom
-        worst = max(worst, float(rel.max()))
-    return worst

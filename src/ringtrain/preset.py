@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -169,6 +169,3 @@ class TrainingConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "TrainingConfig":
         return from_json_object(cls, read_json(path))
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")

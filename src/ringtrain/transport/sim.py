@@ -28,6 +28,7 @@ import numpy as np
 from ..errors import PeerDisconnected, RecvTimeout, TagMismatch
 from ..preset import check_workers
 from ..profiles import NetProfile
+from . import check_peers
 from .net import sim_transfer_time
 
 # A rank's state in a run, besides "blocked on peer p" (p >= 0).
@@ -42,8 +43,6 @@ class SimEndpoint:
         self.rank = rank
         self.size = cluster.size
         self.clock = 0.0
-        self.n_sends = 0
-        self.bytes_sent = 0
 
     def advance(self, seconds: float) -> None:
         """Account for local (compute) time on this rank's clock."""
@@ -52,23 +51,17 @@ class SimEndpoint:
         self.clock += seconds
 
     def send(self, dst: int, tag: int, payload: np.ndarray) -> None:
-        if dst == self.rank or not 0 <= dst < self.size:
-            raise ValueError(f"invalid destination rank {dst}")
+        check_peers(self, dst=dst)
         data = np.array(payload, dtype=np.float32, copy=True)
-        nbytes = data.size * 4
         cl = self._cluster
         rng = cl.link_rng(self.rank, dst)
         if cl.profile.disconnect_prob > 0 and rng.random() < cl.profile.disconnect_prob:
-            raise PeerDisconnected(
-                f"simulated disconnect on link {self.rank}->{dst}", rank=dst)
-        arrival = self.clock + sim_transfer_time(nbytes, self.size, cl.profile, rng)
+            raise PeerDisconnected(f"simulated disconnect on link {self.rank}->{dst}", rank=dst)
+        arrival = self.clock + sim_transfer_time(data.nbytes, self.size, cl.profile, rng)
         cl.queues[(self.rank, dst)].append((tag, arrival, data))
-        self.n_sends += 1
-        self.bytes_sent += nbytes
 
     def recv(self, src: int, tag: int) -> np.ndarray:
-        if src == self.rank or not 0 <= src < self.size:
-            raise ValueError(f"invalid source rank {src}")
+        check_peers(self, src=src)
         cl = self._cluster
         queue = cl.queues[(src, self.rank)]
         if not queue and cl.turns is not None:
@@ -82,21 +75,17 @@ class SimEndpoint:
             raise RecvTimeout(
                 f"rank {self.rank}: no message from rank {src} tag {tag}, "
                 f"and no rank can run (deadlock)", rank=src)
-        got_tag, arrival, data = queue[0]
+        got_tag, arrival, data = queue.popleft()   # consumed even on a mismatch, as on TCP
+        self.clock = max(self.clock, arrival)
         if got_tag != tag:
             raise TagMismatch(
-                f"rank {self.rank}: expected tag {tag} from rank {src}, "
-                f"got {got_tag}", rank=src)
-        queue.popleft()
-        if arrival > self.clock:
-            self.clock = arrival
+                f"rank {self.rank}: expected tag {tag} from rank {src}, got {got_tag}", rank=src)
         return data
 
     def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
-        """Send ``payload`` to ``dst`` and receive the ``src`` message with the same tag.
-
-        The send is buffered, so it cannot hold up the receive.
-        """
+        """Send ``payload`` to ``dst`` and receive the ``src`` message with the same tag;
+        the send is buffered, and both peers are checked before it, as on TCP."""
+        check_peers(self, dst, src)
         self.send(dst, tag, payload)
         return self.recv(src, tag)
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 from ..errors import (CommunicationError, PeerDisconnected, ProtocolError, RecvTimeout,
                       TagMismatch, WireProtocolError)
 from ..preset import json_fits
+from . import check_peers
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
 
 if TYPE_CHECKING:
@@ -187,12 +188,6 @@ class TcpEndpoint:
     def advance(self, seconds: float) -> None:
         """Real time passes on its own; nothing to charge."""
 
-    def _conn(self, peer: int) -> FramedSocket:
-        try:
-            return self.conns[peer]
-        except KeyError:
-            raise ValueError(f"no connection to rank {peer}") from None
-
     def _floats(self, src: int, tag: int, frame: tuple[int, bytearray]) -> np.ndarray:
         """The payload of the frame received from ``src``, which must carry ``tag``."""
         got_tag, payload = frame
@@ -209,12 +204,14 @@ class TcpEndpoint:
              src: int | None = None) -> np.ndarray | None:
         """Send ``payload`` to ``dst`` as one frame. With ``src``, the frame with the same
         tag from ``src`` is read in the same selector loop and returned: ``sendrecv``."""
-        got = _exchange(self._conn(dst), encode_frame(tag, floats_to_wire(payload)),
-                        None if src is None else self._conn(src), self.timeout, dst, src)
+        check_peers(self, dst, src)
+        got = _exchange(self.conns[dst], encode_frame(tag, floats_to_wire(payload)),
+                        None if src is None else self.conns[src], self.timeout, dst, src)
         return None if src is None else self._floats(src, tag, got)
 
     def recv(self, src: int, tag: int) -> np.ndarray:
-        return self._floats(src, tag, _exchange(None, (), self._conn(src), self.timeout, src=src))
+        check_peers(self, src=src)
+        return self._floats(src, tag, _exchange(None, (), self.conns[src], self.timeout, src=src))
 
     def sendrecv(self, dst: int, src: int, tag: int, payload: np.ndarray) -> np.ndarray:
         """Send ``payload`` to ``dst`` while receiving the ``src`` message with the same tag."""

@@ -20,11 +20,12 @@ from ringtrain.harness import (contention_slowdown, count_upward_steps,
                                fit_throughput_boundary, aggregation_comm_time,
                                run_efficiency_sweep, run_rar_vs_tree,
                                run_scaling_experiment, run_thermal_scenario)
-from ringtrain.model import RealModel, finite_difference_check
+from ringtrain.model import RealModel
 from ringtrain.preset import load_compute, load_net, load_thermal
 from ringtrain.profiles import PROFILE_NAMES, build_profile
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
+from support import Recording, finite_difference_check, write_config
 
 ETH = load_net("ethernet")
 WIFI = load_net("wifi5")
@@ -58,6 +59,7 @@ def test_criterion_01_collective_correctness():
                 cluster = SimCluster(k, SIM_NET)
 
                 def task(ep):
+                    ep = Recording(ep)
                     g = CommGroup(ep)
                     r = ring_allreduce(floats[ep.rank].copy(), g)
                     t = tree_allreduce(floats[ep.rank].copy(), g)
@@ -89,7 +91,7 @@ def _final_weights_real(k: int, tmp_path, iterations: int = 100):
     cfg = TrainingConfig(global_batch=32, per_device_batch=32 // k, workers=k,
                          iterations=iterations, seed=42)
     cfg_path = tmp_path / f"cfg_k{k}.json"
-    cfg.to_json(cfg_path)
+    write_config(cfg, cfg_path)
     out = tmp_path / f"real_k{k}"
     code = cli_main(["launch", "--workers", str(k), "--config", str(cfg_path),
                      "--out", str(out)])

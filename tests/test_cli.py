@@ -25,6 +25,7 @@ from ringtrain.transport.net import sim_transfer_time
 from ringtrain.transport.sim import MAX_PROBE_MESSAGES, PROBE_MESSAGE_BYTES
 from ringtrain.transport.tcp import (TAG_PROBE_ACK, TAG_PROBE_DATA, TAG_PROBE_END, Coordinator,
                                      FramedSocket, rendezvous, tcp_probe_client)
+from support import write_config
 
 
 def run_cli(*argv):
@@ -187,8 +188,8 @@ class FakeWorker:
 
 def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     monkeypatch.setattr(subprocess, "Popen", FakeWorker)
     t0 = time.perf_counter()
     code = run_cli("launch", "--workers", "2", "--config", str(cfg_path),
@@ -200,8 +201,8 @@ def test_launch_reports_the_first_failed_rank_at_once(tmp_path, monkeypatch, cap
 
 def test_launch_prints_the_coordinators_failure_with_the_failed_rank(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     popen = subprocess.Popen
 
     def rank_1_never_registers(cmd, env=None):
@@ -226,8 +227,8 @@ def test_launch_prints_the_coordinators_failure_with_the_failed_rank(tmp_path, m
 def test_a_worker_ended_by_a_signal_exits_3_naming_the_rank_and_signal(signum, name, tmp_path,
                                                                       monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
 
     class KilledWorker(FakeWorker):
         failure = -signum   # how Popen reports a child ended by a signal
@@ -248,8 +249,8 @@ def test_a_worker_ended_by_a_signal_exits_3_naming_the_rank_and_signal(signum, n
 def test_a_timeout_out_of_range_exits_2_before_any_socket_or_worker(command, timeout, tmp_path,
                                                                     monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a socket was opened or a worker started")
@@ -274,8 +275,8 @@ def test_launch_gives_each_worker_its_share_of_the_cores(preset, tmp_path, monke
     for var, value in preset.items():
         monkeypatch.setenv(var, value)
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     started = []
 
     def popen(cmd, env=None):
@@ -297,8 +298,8 @@ def test_launch_manifest_records_the_worker_thread_counts(tmp_path, monkeypatch,
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "5")
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=8, per_device_batch=8, workers=1,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=8, per_device_batch=8, workers=1,
+                                iterations=1, seed=0), cfg_path)
     out = tmp_path / "run"
     assert run_cli("launch", "--workers", "1", "--config", str(cfg_path),
                    "--out", str(out)) == EXIT_OK
@@ -313,8 +314,8 @@ def worker_against_a_bad_table(tmp_path, capsys, table):
     """Run rank 0 of two against a stand-in coordinator that takes the registration and
     answers with the raw bytes ``table``; returns the exit code and stderr."""
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     coordinator = socket.create_server(("127.0.0.1", 0))
     host, port = coordinator.getsockname()
 
@@ -356,8 +357,8 @@ def test_worker_exits_3_on_a_malformed_address_table(tmp_path, capsys, table):
 
 def test_launch_k1_equals_direct_training(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=8, per_device_batch=8, workers=1,
-                   iterations=5, seed=13).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=8, per_device_batch=8, workers=1,
+                                iterations=5, seed=13), cfg_path)
     out = tmp_path / "run"
     assert run_cli("launch", "--workers", "1", "--config", str(cfg_path),
                    "--out", str(out)) == EXIT_OK
@@ -627,8 +628,8 @@ def test_probe_client_exits_3_on_a_malformed_ack(ack, error, capsys):
         "bind-address-not-local", "bind-port-in-use"])
 def test_a_bad_host_port_flag_exits_with_its_code(argv, code, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=2, per_device_batch=2, workers=1,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=2, per_device_batch=2, workers=1,
+                                iterations=1, seed=0), cfg_path)
     with socket.create_server(("127.0.0.1", 0)) as taken:
         names = {"CONFIG": str(cfg_path), "OUT": str(tmp_path),
                  "TAKEN": f"127.0.0.1:{taken.getsockname()[1]}"}
@@ -860,8 +861,8 @@ def test_a_seed_env_that_is_not_an_integer_exits_2_naming_it(monkeypatch, capsys
 
 def test_worker_rendezvous_timeout_exits_3(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     # no coordinator is listening on this port
     proc = subprocess.run(
         [sys.executable, "-m", "ringtrain", "worker", "--rank", "0", "--size", "2",
@@ -873,8 +874,8 @@ def test_worker_rendezvous_timeout_exits_3(tmp_path):
 
 def test_peer_failing_mid_training_exits_3(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     coord = Coordinator("127.0.0.1", 0, 2, timeout=10)
     coord.start()
     host, port = coord.address
@@ -894,8 +895,8 @@ def test_peer_failing_mid_training_exits_3(tmp_path):
 
 def test_worker_with_a_silent_peer_exits_3_within_its_timeout(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=1, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=1, seed=0), cfg_path)
     coord = Coordinator("127.0.0.1", 0, 2, timeout=10)
     coord.start()
     host, port = coord.address
@@ -924,8 +925,8 @@ def test_terminating_launcher_terminates_workers(tmp_path):
     import signal
     import time
     cfg_path = tmp_path / "long_running_marker_cfg.json"
-    TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
-                   iterations=500_000, seed=0).to_json(cfg_path)
+    write_config(TrainingConfig(global_batch=4, per_device_batch=2, workers=2,
+                                iterations=500_000, seed=0), cfg_path)
     launcher = subprocess.Popen(
         [sys.executable, "-m", "ringtrain", "launch", "--workers", "2",
          "--config", str(cfg_path), "--out", str(tmp_path / "out")])

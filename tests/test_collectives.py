@@ -2,25 +2,28 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ringtrain.collectives import (CommGroup, pack, ring_allreduce, ring_steps,
                                    tree_allreduce, tree_steps, unpack)
 from ringtrain.engine import TrainingConfig, Worker
-from ringtrain.errors import CommunicationError, LayoutError, ProtocolError
+from ringtrain.errors import LayoutError
 from ringtrain.profiles import build_profile, segment_size
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
+from support import Recording
 
 NET = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
 
 
 def sim_collective(k, make_buf, fn):
-    """Run fn(group, buf) on k simulated ranks; returns per-rank results."""
+    """Run fn(group, buf, ep) on k simulated ranks, each endpoint wrapped in a
+    ``Recording``; returns per-rank results."""
     cluster = SimCluster(k, NET)
 
     def task(ep):
+        ep = Recording(ep)
         return fn(CommGroup(ep), make_buf(ep.rank), ep)
 
     return cluster.run(task)
@@ -168,48 +171,6 @@ def test_allreduce_exact_on_integer_payloads(alg, k):
 
     for out in sim_collective(k, lambda r: payloads[r].copy(), fn):
         assert (out == central).all()
-
-
-ALGS = st.sampled_from([ring_allreduce, tree_allreduce])
-
-
-@settings(max_examples=60, deadline=None)
-@given(ALGS, st.integers(1, 5), st.integers(0, 70), st.integers(0, 2 ** 32 - 1))
-def test_allreduce_sums_integers_exactly_in_place(alg, k, n, seed):
-    ints = np.random.default_rng(seed).integers(-2 ** 10, 2 ** 10, size=(k, n))
-    inputs = [row.astype(np.float32) for row in ints]
-
-    def fn(group, buf, ep):
-        return alg(buf, group)
-
-    results = sim_collective(k, lambda r: inputs[r], fn)
-    for buf, out in zip(inputs, results):
-        assert out is buf   # each rank's own array now holds the sum
-        assert out.dtype == np.float32 and out.flags.writeable
-        assert (out == ints.sum(axis=0)).all()
-        assert out.tobytes() == results[0].tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(ALGS, st.integers(2, 5), st.integers(1, 70), st.data())
-def test_length_mismatch_names_the_sender(alg, k, n, data):
-    short = data.draw(st.integers(0, k - 1))   # the one rank that holds n - 1 elements
-    failures = {}
-
-    def task(ep):
-        try:
-            return alg(np.ones(n - (ep.rank == short), np.float32), CommGroup(ep))
-        except ProtocolError as exc:
-            failures[ep.rank] = exc
-            raise
-
-    with pytest.raises(CommunicationError):
-        SimCluster(k, NET).run(task)
-    assert failures
-    for receiver, exc in failures.items():
-        assert exc.rank is not None and exc.rank != receiver
-        assert short in (receiver, exc.rank)
-        assert f"from rank {exc.rank}" in str(exc)
 
 
 def test_all_ones_k4_gives_all_fours():

@@ -15,6 +15,7 @@ from ringtrain.preset import load_net
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
 from ringtrain.transport.tcp import TcpEndpoint
+from support import weight_checksum, write_config
 
 ETH = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
 
@@ -41,7 +42,7 @@ class TestConfig:
 
     def test_json_roundtrip(self, tmp_path):
         cfg = config(2, 4, aggregation="tree_packed")
-        cfg.to_json(tmp_path / "cfg.json")
+        write_config(cfg, tmp_path / "cfg.json")
         back = TrainingConfig.from_json(tmp_path / "cfg.json")
         assert back == cfg
 
@@ -91,7 +92,7 @@ def test_k1_matches_manual_single_process_sgd_bitwise():
         model.backward(cache)
         model.flat_grads /= 1
         model.sgd_update(lr=cfg.base_lr, weight_decay=cfg.weight_decay)
-    assert worker.model.weight_checksum() == model.weight_checksum()
+    assert weight_checksum(worker.model) == weight_checksum(model)
     assert len(metrics) == 3
 
 
@@ -135,7 +136,7 @@ def test_aggregated_gradient_is_mean_of_locals_three_ranks():
 def test_replica_consistency_all_aggregations(aggregation):
     cfg = config(4, 2, iterations=6, seed=5, aggregation=aggregation)
     _, models = run_training_sim(cfg, ETH)
-    checksums = {m.weight_checksum() for m in models}
+    checksums = {weight_checksum(m) for m in models}
     assert len(checksums) == 1
 
 

@@ -346,6 +346,24 @@ class TestSimMatchesCostModel:
         clocks = SimCluster(k, net).run(task)
         assert clocks == [collective_time(n * FLOAT_BYTES, k, net, BARE, "ring")] * k
 
+    # the slowest rank's lead over the rank-0 price, as measured, rounded up to 0.1%:
+    # +2.24%, +1.51% and +0.41% with contention, at most +0.033% without
+    @pytest.mark.parametrize("contention,n,lead", [
+        (0.5, 7, 0.023), (0.5, 1001, 0.016), (0.5, 4099, 0.005),
+        (0.0, 7, 0.0005), (0.0, 1001, 0.0005), (0.0, 4099, 0.0005)])
+    def test_uneven_segments_at_the_papers_k_lead_the_model_by_a_pinned_residual(
+            self, contention, n, lead):
+        net = dataclasses.replace(ETH, contention_coeff=contention)
+
+        def task(ep):
+            ring_allreduce(np.ones(n, np.float32), CommGroup(ep))
+            return ep.clock
+
+        slowest = max(SimCluster(138, net).run(task))
+        modeled = (collective_time(n * FLOAT_BYTES, 138, net, COMPUTE, "ring")
+                   - COMPUTE.invocation_overhead)
+        assert modeled <= slowest <= (1 + lead) * modeled
+
 
 class TestSimTrainingMatchesCostModel:
     """run_training_sim charges the compute preset that the harness prices with,

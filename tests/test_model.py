@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ringtrain.errors import StaleCacheError
-from ringtrain.model import RealModel, finite_difference_check
+from ringtrain.model import RealModel
+from support import finite_difference_check, weight_checksum
 
 
 def test_zero_weights_uniform_softmax_loss():
@@ -136,7 +137,7 @@ def test_seed_determinism_over_iterations():
             _, cache = model.forward(x, y)
             model.backward(cache)
             model.sgd_update(lr=0.05, weight_decay=0.0002)
-        return model.weight_checksum()
+        return weight_checksum(model)
 
     assert run() == run()
 
