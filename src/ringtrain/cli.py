@@ -377,11 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     except CommunicationError as exc:
         print(f"communication failure: {exc}", file=sys.stderr)
         return EXIT_COMM
-    except (ValueError, KeyError) as exc:
-        # an unreadable file is preset.read_json's ValueError; str() of a KeyError
-        # is the repr of its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"config error: {message}", file=sys.stderr)
+    except ValueError as exc:   # an unreadable file is preset.read_json's ValueError
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -63,11 +64,11 @@ def read_json(path: str | Path):
 
 def json_fits(value, hint) -> bool:
     """Whether the parsed JSON ``value`` has the annotated type ``hint``: an int is
-    a float but a bool is neither, and a tuple is an array of its length. The one
-    type rule for config files and TCP control frames alike."""
+    a float if its float value is finite, a bool is neither, and a tuple is an array
+    of its length. The one type rule for config files and TCP control frames alike."""
     origin, args = get_origin(hint), get_args(hint)
-    if hint is float:
-        return type(value) in (int, float)   # not isinstance: a bool is an int
+    if hint is float:   # not isinstance: a bool is an int; no NaN, inf or int past a float
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if hint in (int, str):
         return type(value) is hint
     if origin is list:
@@ -162,6 +163,8 @@ class TrainingConfig:
                              f"over the {MAX_PAYLOAD_BYTES}-byte frame payload bound")
         if self.dataset_classes < 2:
             raise ValueError("dataset_classes must be >= 2")
+        if self.dataset_spread < 0:
+            raise ValueError("dataset_spread must be >= 0")
         if self.model_dims[-1] != self.dataset_classes:
             raise ValueError("model output dim must equal dataset class count")
         return self

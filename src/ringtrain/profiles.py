@@ -85,7 +85,7 @@ def build_profile(name: str) -> ModelProfile:
         size_mb, num_chunks, batch = _REGISTRY[key]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY) + sorted(_ALIASES))
-        raise KeyError(f"unknown model profile {name!r}; known names: {known}") from None
+        raise ValueError(f"unknown model profile {name!r}; known names: {known}") from None
     total = round(size_mb * MB / FLOAT_BYTES)
     return ModelProfile(name=key, size_mb=size_mb, batch_per_device=batch,
                         chunk_elems=tuple(segment_size(total, num_chunks, c)
@@ -181,12 +181,8 @@ class ThermalPreset:
             prev_thresh, prev_mult = thresh, mult
 
     def multiplier(self, temp: float) -> float:
-        """The compute-time multiplier at temperature ``temp``."""
-        mult = 1.0
-        for thresh, m in self.tiers:
-            if temp >= thresh:
-                mult = m
-        return mult
+        """The compute-time multiplier at temperature ``temp``: the highest tier it reached."""
+        return next((mult for thresh, mult in reversed(self.tiers) if temp >= thresh), 1.0)
 
 
 @dataclass(frozen=True)

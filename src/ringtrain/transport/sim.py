@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import PeerDisconnected, RecvTimeout, TagMismatch
 from ..preset import check_workers
 from ..profiles import NetProfile
-from . import check_peers
+from . import check_charge, check_peers
 from .net import sim_transfer_time
 
 # A rank's state in a run, besides "blocked on peer p" (p >= 0).
@@ -46,8 +46,7 @@ class SimEndpoint:
 
     def advance(self, seconds: float) -> None:
         """Account for local (compute) time on this rank's clock."""
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
+        check_charge(seconds)
         self.clock += seconds
 
     def send(self, dst: int, tag: int, payload: np.ndarray) -> None:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from ..errors import (CommunicationError, PeerDisconnected, ProtocolError, RecvTimeout,
                       TagMismatch, WireProtocolError)
 from ..preset import json_fits
-from . import check_peers
+from . import check_charge, check_peers
 from .frame import HEADER_SIZE, decode_header, encode_frame, floats_to_wire, wire_to_floats
 
 if TYPE_CHECKING:
@@ -186,7 +186,7 @@ class TcpEndpoint:
         return time.perf_counter()
 
     def advance(self, seconds: float) -> None:
-        """Real time passes on its own; nothing to charge."""
+        check_charge(seconds)   # real time passes on its own, so nothing is charged
 
     def _floats(self, src: int, tag: int, frame: tuple[int, bytearray]) -> np.ndarray:
         """The payload of the frame received from ``src``, which must carry ``tag``."""

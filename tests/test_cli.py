@@ -640,27 +640,6 @@ def test_a_bad_host_port_flag_exits_with_its_code(argv, code, message, tmp_path,
 THERMAL = json.loads(preset_path("thermal_s10").read_text())
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["launch", "--workers", "2", "--config"],
-     {"global_batch": 4, "per_device_batch": 2, "workers": 2, "no_such_key": 1}),
-    (["launch", "--workers", "2", "--config"], {"global_batch": 4, "per_device_batch": 2}),
-    (["worker", "--rank", "0", "--size", "2", "--coordinator", "127.0.0.1:1", "--config"],
-     [4, 2, 2]),
-    (["sim", "scaling", "--net"], {"base_bandwidth": 940.0, "latency": 1e-4, "no_such_key": 1}),
-    (["sim", "scaling", "--compute"], {"throughput": 1e8, "no_such_key": 1}),
-    (["sim", "thermal", "--thermal"], [25.0, 0.1, 0.05]),
-    (["sim", "thermal", "--thermal"],
-     {**{k: v for k, v in THERMAL.items() if k != "idle_s"}, "idle_seconds": 5.0}),
-    (["sim", "thermal", "--thermal"], {**THERMAL, "no_such_key": 1}),
-], ids=["launch-unknown-key", "launch-missing-workers", "worker-list", "sim-net", "sim-compute",
-        "thermal-list", "thermal-renamed-key", "thermal-unknown-key"])
-def test_config_file_with_wrong_keys_exits_2(argv, config, tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
-    assert "config error: " in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("config,message", [
     ({**THERMAL, "temp": 30.0}, "unknown keys ['temp']"),
     ({k: v for k, v in THERMAL.items() if k != "tiers"}, "missing keys ['tiers']"),
@@ -673,44 +652,76 @@ def test_a_thermal_file_must_hold_exactly_the_preset_keys(config, message, tmp_p
     assert f"config error: ThermalPreset config: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["launch", "--workers", "2", "--config"],
-     {"global_batch": 4, "per_device_batch": 2, "workers": "2"}),
-    (["launch", "--workers", "2", "--config"],
-     {"global_batch": 4, "per_device_batch": 2, "workers": 2, "model_dims": []}),
-    (["sim", "scaling", "--net"], {"base_bandwidth": "940", "latency": 1e-4}),
-    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": "x"}}),
-    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": [1]}}),
-    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": 0}}),
-], ids=["launch-string-workers", "launch-no-model-dims", "sim-string-bandwidth",
-        "sim-string-work", "sim-list-work", "sim-zero-work"])
-def test_config_file_with_wrong_values_exits_2(argv, config, tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
-    assert "config error: " in capsys.readouterr().err
-
-
 LAUNCH2 = ["launch", "--workers", "2", "--config"]
+WORKER = ["worker", "--rank", "0", "--size", "2", "--coordinator", "127.0.0.1:1", "--config"]
+NET, COMPUTE = ["sim", "scaling", "--net"], ["sim", "scaling", "--compute"]
+HEAT = ["sim", "thermal", "--thermal"]
 BASE = {"global_batch": 4, "per_device_batch": 2, "workers": 2}
 # one worker more than a collective's tag block admits
 WORKERS_2050 = {"global_batch": 4100, "per_device_batch": 2, "workers": 2050, "dataset_size": 4100}
 
 
 @pytest.mark.parametrize("argv,config,message", [
-    (LAUNCH2, {**BASE, "base_lr": "0.1"}, "base_lr must be of type float, got \"0.1\""),
+    (LAUNCH2, {**BASE, "no_such_key": 1}, "TrainingConfig config: unknown keys ['no_such_key']"),
+    (LAUNCH2, {"global_batch": 4, "per_device_batch": 2},
+     "TrainingConfig config: missing keys ['workers']"),
+    (WORKER, [4, 2, 2], "TrainingConfig config is a JSON list, not an object"),
+    (NET, {"base_bandwidth": 940.0, "latency": 1e-4, "no_such_key": 1},
+     "NetProfile config: unknown keys ['no_such_key']"),
+    (COMPUTE, {"throughput": 1e8, "no_such_key": 1},
+     "ComputeProfile config: unknown keys ['no_such_key']"),
+    (HEAT, [25.0, 0.1, 0.05],
+     "ThermalPreset config is a JSON list, not an object"),
+    (HEAT,
+     {**{k: v for k, v in THERMAL.items() if k != "idle_s"}, "idle_seconds": 5.0},
+     "ThermalPreset config: unknown keys ['idle_seconds'], missing keys ['idle_s']"),
+    (HEAT, {**THERMAL, "no_such_key": 1},
+     "ThermalPreset config: unknown keys ['no_such_key']"),
+    (LAUNCH2, {**BASE, "workers": "2"},
+     "TrainingConfig config: workers must be of type int, got \"2\""),
+    (LAUNCH2, {**BASE, "model_dims": []}, "model_dims needs an input and an output dim"),
+    (NET, {"base_bandwidth": "940", "latency": 1e-4},
+     "NetProfile config: base_bandwidth must be of type float, got \"940\""),
+    (COMPUTE, {"throughput": 1e8, "work_per_sample": {"GoogleNet": "x"}},
+     "ComputeProfile config: work_per_sample must be of type dict[str, float], "
+     "got {\"GoogleNet\": \"x\"}"),
+    (COMPUTE, {"throughput": 1e8, "work_per_sample": {"GoogleNet": [1]}},
+     "ComputeProfile config: work_per_sample must be of type dict[str, float], "
+     "got {\"GoogleNet\": [1]}"),
+    (COMPUTE, {"throughput": 1e8, "work_per_sample": {"GoogleNet": 0}},
+     "every work_per_sample value must be > 0"),
+    # a float field takes a number only if its float value is finite
+    (LAUNCH2, {**BASE, "base_lr": float("nan")},
+     "TrainingConfig config: base_lr must be of type float, got NaN"),
+    (NET, {"base_bandwidth": 940, "latency": float("inf")},
+     "NetProfile config: latency must be of type float, got Infinity"),
+    (COMPUTE, {"throughput": float("nan")},
+     "ComputeProfile config: throughput must be of type float, got NaN"),
+    (COMPUTE, '{"throughput": 1e400}',   # the text itself: json parses it to inf
+     "ComputeProfile config: throughput must be of type float, got Infinity"),
+    (COMPUTE, {"throughput": 10 ** 400},
+     "ComputeProfile config: throughput must be of type float, got 1" + "0" * 400),
+    (HEAT, {**THERMAL, "heat_rate": -float("inf")},
+     "ThermalPreset config: heat_rate must be of type float, got -Infinity"),
+    (LAUNCH2, {**BASE, "base_lr": "0.1"},
+     "TrainingConfig config: base_lr must be of type float, got \"0.1\""),
     (LAUNCH2, {**BASE, "model_dims": [2, 0, 2]}, "every model_dims entry must be >= 1"),
-    (LAUNCH2, {**BASE, "model_dims": [2, 2.0, 2]}, "model_dims must be of type list[int]"),
-    (LAUNCH2, {**BASE, "iterations": True}, "iterations must be of type int, got true"),
-    (LAUNCH2, {**BASE, "aggregation": 1}, "aggregation must be of type str"),
-    (["sim", "scaling", "--net"], {"base_bandwidth": 940, "latency": 1e-4, "seed": 1.5},
-     "seed must be of type int"),
-    (["sim", "scaling", "--compute"], {"throughput": 1e8, "work_per_sample": {"GoogleNet": True}},
-     "work_per_sample must be of type dict[str, float]"),
-    (["sim", "thermal", "--thermal"], {**THERMAL, "tiers": [[42.0, 1.1, 3.0]]},
-     "tiers must be of type list[tuple[float, float]]"),
-    (["sim", "thermal", "--thermal"], {**THERMAL, "heat_rate": "hot"},
-     "heat_rate must be of type float, got \"hot\""),
+    (LAUNCH2, {**BASE, "model_dims": [2, 2.0, 2]},
+     "TrainingConfig config: model_dims must be of type list[int], got [2, 2.0, 2]"),
+    (LAUNCH2, {**BASE, "iterations": True},
+     "TrainingConfig config: iterations must be of type int, got true"),
+    (LAUNCH2, {**BASE, "aggregation": 1},
+     "TrainingConfig config: aggregation must be of type str, got 1"),
+    (NET, {"base_bandwidth": 940, "latency": 1e-4, "seed": 1.5},
+     "NetProfile config: seed must be of type int, got 1.5"),
+    (COMPUTE, {"throughput": 1e8, "work_per_sample": {"GoogleNet": True}},
+     "ComputeProfile config: work_per_sample must be of type dict[str, float], "
+     "got {\"GoogleNet\": true}"),
+    (HEAT, {**THERMAL, "tiers": [[42.0, 1.1, 3.0]]},
+     "ThermalPreset config: tiers must be of type list[tuple[float, float]], "
+     "got [[42.0, 1.1, 3.0]]"),
+    (HEAT, {**THERMAL, "heat_rate": "hot"},
+     "ThermalPreset config: heat_rate must be of type float, got \"hot\""),
     (LAUNCH2, {**BASE, "model_dims": [2, 8, 1], "dataset_classes": 1},
      "dataset_classes must be >= 2"),
     (LAUNCH2, {**BASE, **WORKERS_2050}, "workers must be >= 1 and at most 2049, got 2050"),
@@ -718,19 +729,24 @@ WORKERS_2050 = {"global_batch": 4100, "per_device_batch": 2, "workers": 2050, "d
     (LAUNCH2, {**BASE, "lr_scaling": "sqrt"}, "lr_scaling must be one of ('none', 'linear')"),
     (LAUNCH2, {**BASE, "dataset_size": 3}, "dataset must hold at least one global batch"),
     (LAUNCH2, {**BASE, "model_dims": [2, 8, 3]}, "model output dim must equal dataset class count"),
-    (["sim", "scaling", "--net"], {"base_bandwidth": 0, "latency": 1e-4},
+    (NET, {"base_bandwidth": 0, "latency": 1e-4},
      "base_bandwidth must be positive"),
-    (["sim", "scaling", "--net"], {"base_bandwidth": 940, "latency": 1e-4, "disconnect_prob": 1},
+    (NET, {"base_bandwidth": 940, "latency": 1e-4, "disconnect_prob": 1},
      "disconnect_prob must be in [0, 1)"),
-    (["sim", "scaling", "--net"], {"base_bandwidth": 940, "latency": -1e-4},
+    (NET, {"base_bandwidth": 940, "latency": -1e-4},
      "latency, jitter_frac and contention_coeff must be >= 0"),
-    (["sim", "scaling", "--compute"], {"throughput": 0},
+    (COMPUTE, {"throughput": 0},
      "throughput and pack_bandwidth must be positive"),
-    (["sim", "scaling", "--compute"], {"throughput": 1e8, "tree_segment_bytes": 0},
+    (COMPUTE, {"throughput": 1e8, "tree_segment_bytes": 0},
      "invocation_overhead >= 0 and tree_segment_bytes >= 1"),
-    (["sim", "thermal", "--thermal"], {**THERMAL, "cool_rate": -0.1},
+    (HEAT, {**THERMAL, "cool_rate": -0.1},
      "heat_rate and cool_rate must be >= 0"),
-], ids=["launch-string-lr", "launch-zero-width-layer", "launch-float-dim", "launch-bool-iterations",
+], ids=["launch-unknown-key", "launch-missing-workers", "worker-list", "sim-net", "sim-compute",
+        "thermal-list", "thermal-renamed-key", "thermal-unknown-key", "launch-string-workers",
+        "launch-no-model-dims", "sim-string-bandwidth", "sim-string-work", "sim-list-work",
+        "sim-zero-work", "launch-nan-lr", "sim-infinite-latency", "sim-nan-throughput",
+        "sim-1e400-throughput", "sim-400-digit-throughput", "thermal-minus-infinity-heat-rate",
+        "launch-string-lr", "launch-zero-width-layer", "launch-float-dim", "launch-bool-iterations",
         "launch-int-aggregation", "sim-float-seed", "sim-bool-work", "thermal-long-tier",
         "thermal-string-heat-rate", "launch-one-class", "launch-2050-workers",
         "launch-empty-batch", "launch-unknown-lr-scaling", "launch-dataset-under-a-batch",
@@ -740,9 +756,9 @@ WORKERS_2050 = {"global_batch": 4100, "per_device_batch": 2, "workers": 2050, "d
 def test_config_values_are_checked_against_their_field_types(argv, config, message, tmp_path,
                                                              capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert run_cli(*argv, str(cfg_path), "--out", str(tmp_path / "out")) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("config,message", [
@@ -751,7 +767,8 @@ def test_config_values_are_checked_against_their_field_types(argv, config, messa
     ({**BASE, "model_dims": [100000, 1000, 2], "aggregation": "tree_packed"},
      "model_dims [100000, 1000, 2] give a 400008000-byte gradient, "
      "over the 268435456-byte frame payload bound"),
-], ids=["one-class", "2050-workers", "gradient-over-the-frame-bound"])
+    ({**BASE, "dataset_spread": -0.5}, "dataset_spread must be >= 0"),
+], ids=["one-class", "2050-workers", "gradient-over-the-frame-bound", "negative-spread"])
 def test_a_config_no_worker_could_run_exits_2_before_any_socket_or_worker(config, message, tmp_path,
                                                                          monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"

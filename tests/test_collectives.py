@@ -12,21 +12,13 @@ from ringtrain.errors import LayoutError
 from ringtrain.profiles import build_profile, segment_size
 from ringtrain.transport.net import NetProfile
 from ringtrain.transport.sim import SimCluster
-from support import Recording
 
 NET = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
 
 
 def sim_collective(k, make_buf, fn):
-    """Run fn(group, buf, ep) on k simulated ranks, each endpoint wrapped in a
-    ``Recording``; returns per-rank results."""
-    cluster = SimCluster(k, NET)
-
-    def task(ep):
-        ep = Recording(ep)
-        return fn(CommGroup(ep), make_buf(ep.rank), ep)
-
-    return cluster.run(task)
+    """Run fn(group, buf) on k simulated ranks; returns per-rank results."""
+    return SimCluster(k, NET).run(lambda ep: fn(CommGroup(ep), make_buf(ep.rank)))
 
 
 class TestPackUnpack:
@@ -148,7 +140,7 @@ def test_allreduce_equals_central_sum(alg, k):
         payloads = [rng.normal(size=n).astype(np.float32) for _ in range(k)]
         central = np.sum(np.stack(payloads).astype(np.float64), axis=0)
 
-        def fn(group, buf, ep):
+        def fn(group, buf):
             return alg(buf, group)
 
         results = sim_collective(k, lambda r: payloads[r].copy(), fn)
@@ -157,38 +149,6 @@ def test_allreduce_equals_central_sum(alg, k):
         scale = max(1.0, float(np.abs(central).max()))
         for out in results:
             assert float(np.abs(out - central).max()) <= 1e-6 * scale
-
-
-@pytest.mark.parametrize("alg", [ring_allreduce, tree_allreduce])
-@pytest.mark.parametrize("k", [2, 5, 8])
-def test_allreduce_exact_on_integer_payloads(alg, k):
-    n = 37
-    payloads = [np.arange(n, dtype=np.float32) * (r + 1) for r in range(k)]
-    central = np.sum(np.stack(payloads), axis=0)
-
-    def fn(group, buf, ep):
-        return alg(buf, group)
-
-    for out in sim_collective(k, lambda r: payloads[r].copy(), fn):
-        assert (out == central).all()
-
-
-def test_all_ones_k4_gives_all_fours():
-    def fn(group, buf, ep):
-        return ring_allreduce(buf, group)
-
-    results = sim_collective(4, lambda r: np.ones(8, np.float32), fn)
-    for out in results:
-        assert (out == 4.0).all()
-
-
-def test_k1_identity_and_no_messages():
-    def fn(group, buf, ep):
-        return ring_allreduce(buf, group), ep.n_sends
-
-    (data, sends), = sim_collective(1, lambda r: np.arange(5, dtype=np.float32), fn)
-    assert (data == np.arange(5)).all()
-    assert sends == 0
 
 
 def test_comm_group_rejects_rings_whose_tags_overflow_a_block():
@@ -209,27 +169,12 @@ def test_a_collective_sums_only_a_contiguous_float32_array(collective, data):
     assert group.invocations == 0
 
 
-@pytest.mark.parametrize("k,n", [(2, 10), (4, 8), (5, 13), (8, 1000)])
-def test_ring_message_and_byte_complexity(k, n):
-    def fn(group, buf, ep):
-        ring_allreduce(buf, group)
-        return ep.n_sends, ep.bytes_sent
-
-    results = sim_collective(k, lambda r: np.ones(n, np.float32), fn)
-    max_seg_bytes = 4 * -(-n // k)
-    ideal = 2 * n * 4 * (k - 1) / k
-    for sends, sent in results:
-        assert sends == 2 * (k - 1)
-        assert abs(sent - ideal) <= 2 * (k - 1) * 4  # segment rounding slack
-        assert sent <= 2 * (k - 1) * max_seg_bytes
-
-
 def test_tree_matches_ring_cross_oracle():
     k, n = 6, 101
     rng = np.random.default_rng(7)
     payloads = [rng.normal(size=n).astype(np.float32) for _ in range(k)]
 
-    def fn(group, buf, ep):
+    def fn(group, buf):
         ring = ring_allreduce(buf, group)
         tree = tree_allreduce(payloads[group.rank].copy(), group)
         return ring, tree
@@ -238,25 +183,13 @@ def test_tree_matches_ring_cross_oracle():
         np.testing.assert_allclose(tree, ring, rtol=1e-6, atol=1e-7)
 
 
-def test_results_identical_across_ranks():
-    k, n = 5, 64
-    rng = np.random.default_rng(8)
-    payloads = [rng.normal(size=n).astype(np.float32) for _ in range(k)]
-
-    def fn(group, buf, ep):
-        return ring_allreduce(buf, group).tobytes()
-
-    blobs = sim_collective(k, lambda r: payloads[r].copy(), fn)
-    assert len(set(blobs)) == 1
-
-
 class TestChunkwise:
     def test_single_chunk_matches_packed_path(self):
         k, n = 3, 50
         rng = np.random.default_rng(9)
         payloads = [rng.normal(size=n).astype(np.float32) for _ in range(k)]
 
-        def fn(group, buf, ep):
+        def fn(group, buf):
             chunked = ring_allreduce(payloads[group.rank].copy(), group)
             packed = ring_allreduce(pack([payloads[group.rank].copy()]), group)
             return chunked, unpack(packed, [(n,)])[0]
@@ -286,7 +219,7 @@ class TestChunkwise:
                        rng.normal(size=(2, 4)).astype(np.float32)] for _ in range(k)]
         central = [np.sum([cs[i] for cs in chunk_sets], axis=0) for i in range(2)]
 
-        def fn(group, buf, ep):
+        def fn(group, buf):
             return [ring_allreduce(c.copy(), group) for c in chunk_sets[group.rank]]
 
         for chunks in sim_collective(k, lambda r: None, fn):

@@ -1,7 +1,7 @@
 """The endpoint contract, each rule stated once and run on both transports.
 
 The ``runner`` fixture runs ``fn(endpoint)`` once on each of K endpoints of one
-transport: a ``SimCluster`` (K <= 5), or a loopback TCP mesh of K <= 3 ranks, built the
+transport: a ``SimCluster`` (K <= 8), or a loopback TCP mesh of K <= 3 ranks, built the
 way ``tcp_mesh`` builds it, each rank on its own thread, with every socket closed when
 the run ends. A run returns each rank's outcome: what ``fn`` returned, or the exception
 it raised. A rank that raises is a dead peer to the others: the simulator aborts every
@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ringtrain.collectives import CommGroup, ring_allreduce, tree_allreduce
 from ringtrain.errors import PeerDisconnected, ProtocolError, RecvTimeout, TagMismatch
@@ -95,7 +96,8 @@ class Runner(NamedTuple):
     max_k: int
 
 
-RUNNERS = {"sim": Runner("sim", run_sim, 5), "tcp": Runner("tcp", run_tcp, 3)}
+RUNNERS = {"sim": Runner("sim", run_sim, 8), "tcp": Runner("tcp", run_tcp, 3)}
+MAX_K = max(r.max_k for r in RUNNERS.values())   # a larger K is skipped on a smaller runner
 
 
 @pytest.fixture(scope="module", params=sorted(RUNNERS))
@@ -113,22 +115,42 @@ def succeeded(outcomes: list) -> list:
 
 ALGS = st.sampled_from([ring_allreduce, tree_allreduce])
 ONES = np.ones(4, np.float32)
+# rank r holds (r + 1) * [0, 1, ..., 36]
+STAIRS = {k: np.arange(37) * np.arange(1, k + 1)[:, None] for k in (2, 5, 8)}
+# with floats, a rank that summed in another order would differ in the bytes
+FLOATS = np.random.default_rng(8).normal(size=(5, 64)).astype(np.float32)
 
 
 @settings(max_examples=60, deadline=None)
-@example(alg=tree_allreduce, k=3, n=5, seed=0)
-@given(alg=ALGS, k=st.integers(1, 5), n=st.integers(0, 70), seed=st.integers(0, 2 ** 32 - 1))
-def test_a_collective_sums_integers_exactly_in_place_alike_on_every_rank(runner, alg, k, n,
-                                                                         seed):
+@example(alg=tree_allreduce, rows=np.random.default_rng(0).integers(-2 ** 10, 2 ** 10, (3, 5)))
+@example(alg=ring_allreduce, rows=STAIRS[2])
+@example(alg=ring_allreduce, rows=STAIRS[5])
+@example(alg=ring_allreduce, rows=STAIRS[8])
+@example(alg=tree_allreduce, rows=STAIRS[2])
+@example(alg=tree_allreduce, rows=STAIRS[5])
+@example(alg=tree_allreduce, rows=STAIRS[8])
+@example(alg=ring_allreduce, rows=np.ones((4, 8), np.int64))
+@example(alg=ring_allreduce, rows=np.arange(5)[None])
+@example(alg=ring_allreduce, rows=FLOATS)
+@given(alg=ALGS, rows=hnp.arrays(np.int64, st.tuples(st.integers(1, MAX_K), st.integers(0, 70)),
+                                 elements=st.integers(-2 ** 10, 2 ** 10 - 1)))
+def test_a_collective_sums_integers_exactly_in_place_alike_on_every_rank(runner, alg, rows):
+    k = len(rows)   # rank r holds rows[r]; integer rows sum exactly in float32
     assume(k <= runner.max_k)
-    ints = np.random.default_rng(seed).integers(-2 ** 10, 2 ** 10, size=(k, n))
-    inputs = [row.astype(np.float32) for row in ints]
-    results = succeeded(runner.run(k, lambda ep: alg(inputs[ep.rank], CommGroup(ep))))
-    for buf, out in zip(inputs, results):
+    inputs = [row.astype(np.float32) for row in rows]
+
+    def task(ep):
+        ep = Recording(ep)
+        return alg(inputs[ep.rank], CommGroup(ep)), ep.n_sends
+
+    results = succeeded(runner.run(k, task))
+    for buf, (out, sends) in zip(inputs, results):
         assert out is buf   # each rank's own array now holds the sum
         assert out.dtype == np.float32 and out.flags.writeable
-        assert (out == ints.sum(axis=0)).all()
-        assert out.tobytes() == results[0].tobytes()
+        assert out.tobytes() == results[0][0].tobytes()
+        assert (sends == 0) == (k == 1)   # a lone rank keeps its own array and sends nothing
+        if rows.dtype != np.float32:
+            assert (out == rows.sum(axis=0)).all()
 
 
 def test_a_message_is_delivered_by_tag_and_another_tag_is_a_mismatch_that_consumes_it(runner):
@@ -191,7 +213,7 @@ def test_a_receive_no_sender_will_satisfy_ends_in_bounded_time_naming_the_peer(r
     assert returned is None
 
 
-@pytest.mark.parametrize("n", [1, 10, 13])
+@pytest.mark.parametrize("n", [1, 8, 10, 13, 1000])
 def test_a_ring_invocation_sends_two_k_minus_one_messages_per_rank(runner, n):
     def task(ep):
         ep = Recording(ep)
@@ -207,6 +229,7 @@ def test_a_ring_invocation_sends_two_k_minus_one_messages_per_rank(runner, n):
             assert (first, both) == (2 * (k - 1), 4 * (k - 1))
             assert both_bytes == 2 * first_bytes
             assert abs(first_bytes - ideal) <= 2 * (k - 1) * 4   # segment rounding slack
+            assert first_bytes <= 2 * (k - 1) * 4 * -(-n // k)   # no message over a segment
 
 
 @pytest.mark.parametrize("call,message", [
@@ -242,6 +265,22 @@ def test_a_peer_outside_the_cluster_or_the_rank_itself_is_refused_before_any_sen
     assert [got.tobytes() for got in received] == [payload.tobytes()] * 2
     if runner.name == "sim":   # the wall clock of TCP moves on its own
         assert after == before
+
+
+def test_a_negative_charge_is_refused_and_moves_no_clock(runner):
+    def task(ep):
+        ep = Recording(ep)
+        before = ep.clock
+        try:
+            ep.advance(-1e-9)
+        except ValueError as exc:
+            return str(exc), before, ep.clock, ep.n_sends
+
+    for message, before, after, sends in succeeded(runner.run(2, task)):
+        assert message == "cannot advance the clock backwards"
+        assert sends == 0
+        if runner.name == "sim":   # the wall clock of TCP moves on its own
+            assert after == before == 0.0
 
 
 def test_both_transports_sum_to_the_same_bytes():

@@ -47,7 +47,7 @@ def test_aliases_resolve_to_table_spelling():
 
 
 def test_unknown_name_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         build_profile("VGG-16")
 
 

@@ -28,7 +28,6 @@ from ringtrain.transport.tcp import (TAG_HELLO, TAG_PROBE_ACK, TAG_PROBE_DATA, T
                                      TAG_REGISTER, TAG_TABLE, Coordinator, FramedSocket,
                                      TcpEndpoint, listen, rendezvous, serve_probe,
                                      tcp_probe_client)
-from support import Recording
 
 ETH = NetProfile(base_bandwidth=940.0, latency=1e-4, seed=10)
 
@@ -863,12 +862,6 @@ class TestSimCluster:
         cluster = SimCluster(8, ETH)   # a ring uses K directed links, a tree 2(K-1)
         cluster.run(lambda ep: collective(np.ones(64, np.float32), CommGroup(ep)))
         assert len(cluster.queues) == links
-
-    def test_an_endpoint_refuses_a_backward_clock(self):
-        endpoint = Recording(SimCluster(2, ETH).endpoints[0])
-        with pytest.raises(ValueError, match="cannot advance the clock backwards"):
-            endpoint.advance(-1e-9)
-        assert (endpoint.clock, endpoint.n_sends) == (0.0, 0)
 
     def test_a_cluster_over_the_tag_block_is_refused_before_any_thread_starts(self, monkeypatch):
         started = []
