@@ -165,6 +165,8 @@ class TrainingConfig:
             raise ValueError("dataset_classes must be >= 2")
         if self.dataset_spread < 0:
             raise ValueError("dataset_spread must be >= 0")
+        if min(self.base_lr, self.weight_decay) < 0:   # a negative step ascends the loss
+            raise ValueError("base_lr and weight_decay must be >= 0")
         if self.model_dims[-1] != self.dataset_classes:
             raise ValueError("model output dim must equal dataset class count")
         return self

@@ -768,7 +768,10 @@ def test_config_values_are_checked_against_their_field_types(argv, config, messa
      "model_dims [100000, 1000, 2] give a 400008000-byte gradient, "
      "over the 268435456-byte frame payload bound"),
     ({**BASE, "dataset_spread": -0.5}, "dataset_spread must be >= 0"),
-], ids=["one-class", "2050-workers", "gradient-over-the-frame-bound", "negative-spread"])
+    ({**BASE, "base_lr": -0.1}, "base_lr and weight_decay must be >= 0"),
+    ({**BASE, "weight_decay": -0.0002}, "base_lr and weight_decay must be >= 0"),
+], ids=["one-class", "2050-workers", "gradient-over-the-frame-bound", "negative-spread",
+        "negative-lr", "negative-weight-decay"])
 def test_a_config_no_worker_could_run_exits_2_before_any_socket_or_worker(config, message, tmp_path,
                                                                          monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
